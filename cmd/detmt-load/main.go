@@ -1,9 +1,11 @@
-// Command detmt-load is the closed-loop load generator for a running
-// detmt-server cluster: N concurrent clients issue Fig. 1 requests over
-// TCP, wait for the first replica reply, and report the client-perceived
-// latency distribution (the paper's Fig. 1 measurement protocol, over
-// real sockets). It exits non-zero if the replicas' schedule consistency
-// hashes diverge.
+// Command detmt-load is the load generator for a running detmt-server
+// cluster: N concurrent clients issue Fig. 1 requests over TCP, wait for
+// the first replica reply, and report the client-perceived latency
+// distribution (the paper's Fig. 1 measurement protocol, over real
+// sockets). -rate switches to an open loop, -shards routes over a
+// sharded deployment's ring, -http drives a detmt-gateway facade; all of
+// them are one server.RunLoad call. It exits non-zero if the replicas'
+// schedule consistency hashes diverge.
 //
 // Usage:
 //
@@ -16,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -25,7 +26,6 @@ import (
 	"detmt/internal/chaos"
 	"detmt/internal/ids"
 	"detmt/internal/kvapi"
-	"detmt/internal/lang"
 	"detmt/internal/metrics"
 	"detmt/internal/server"
 	"detmt/internal/workload"
@@ -74,208 +74,98 @@ func main() {
 	chaosDelayBy := flag.Duration("chaos-delay-by", 5*time.Millisecond, "read delay applied when the delay fault fires")
 	flag.Parse()
 
-	logfEarly := func(string, ...interface{}) {}
-	if *verbose {
-		logfEarly = log.Printf
-	}
-	if *httpURL != "" {
-		runHTTP(*httpURL, httpParams{
-			clients:     *clients,
-			requests:    *requests,
-			seed:        *seed,
-			keys:        *keys,
-			pGet:        *pGet,
-			rate:        *rate,
-			duration:    *duration,
-			warmup:      *warmup,
-			poisson:     *poisson,
-			slo:         *slo,
-			maxInFlight: *maxInFlight,
-			jsonOut:     *jsonOut,
-			logf:        logfEarly,
-		})
-		return
-	}
-
-	serverMap, err := parseServers(*servers)
-	if err != nil || len(serverMap) == 0 {
-		fmt.Fprintf(os.Stderr, "detmt-load: bad -servers: %v\n", err)
-		os.Exit(2)
-	}
-	if *kvOn && !*shardsOn {
-		fmt.Fprintln(os.Stderr, "detmt-load: -kv requires -shards (or use -http against a gateway)")
-		os.Exit(2)
-	}
-	wl := workload.DefaultFig1()
-	wl.Iterations = *iterations
-	wl.Mutexes = *mutexes
-	var fam *workload.FamilyConfig
-	if *families > 0 {
-		f := workload.DefaultFamilies()
-		f.Families = *families
-		f.PGlobal = *conflict
-		f.HotSkew = *hotSkew
-		fam = &f
-	}
-
 	logf := func(string, ...interface{}) {}
 	if *verbose {
 		logf = log.Printf
 	}
-	opts := server.LoadOptions{
-		Servers:           serverMap,
+	o := server.LoadOptions{
 		Clients:           *clients,
 		RequestsPerClient: *requests,
-		Seed:              *seed,
-		Workload:          wl,
-		Families:          fam,
-		ClientBase:        *clientBase,
 		Pipelined:         *pipelined,
 		Timeout:           *timeout,
+		Rate:              *rate,
+		Duration:          *duration,
+		Warmup:            *warmup,
+		Poisson:           *poisson,
+		MaxInFlight:       *maxInFlight,
+		BatchSubmit:       *batchSubmit,
+		SLO:               *slo,
+		Seed:              *seed,
+		ClientBase:        *clientBase,
 		Logf:              logf,
 	}
+	kind := "cluster"
 	var inj *chaos.Injector
-	if *chaosOn {
-		inj = chaos.New()
-		opts.Dial = inj.Dial(nil)
+	if *httpURL != "" {
+		kind = "http"
+		t := kvapi.NewHTTPTarget(*httpURL)
+		defer t.Close()
+		o.Target = t
+		o.Draw = server.KVDraw(*keys, *pGet)
+	} else {
+		serverMap, err := parseServers(*servers)
+		if err != nil || len(serverMap) == 0 {
+			fmt.Fprintf(os.Stderr, "detmt-load: bad -servers: %v\n", err)
+			os.Exit(2)
+		}
+		if *kvOn && !*shardsOn {
+			fmt.Fprintln(os.Stderr, "detmt-load: -kv requires -shards (or use -http against a gateway)")
+			os.Exit(2)
+		}
+		o.Workload = workload.DefaultFig1()
+		o.Workload.Iterations = *iterations
+		o.Workload.Mutexes = *mutexes
+		if *families > 0 {
+			if *shardsOn {
+				fmt.Fprintln(os.Stderr, "detmt-load: -families is not supported in sharded mode")
+				os.Exit(2)
+			}
+			f := workload.DefaultFamilies()
+			f.Families = *families
+			f.PGlobal = *conflict
+			f.HotSkew = *hotSkew
+			o.Draw = server.FamilyDraw(f)
+		}
 		addrs := make([]string, 0, len(serverMap))
 		for _, a := range serverMap {
 			addrs = append(addrs, a)
 		}
-		stop := make(chan struct{})
-		defer close(stop)
-		go inj.Run(chaos.Plan{
-			Seed:         *chaosSeed,
-			Step:         *chaosStep,
-			PSever:       *chaosSever,
-			PPartition:   *chaosPartition,
-			PartitionFor: *chaosPartitionFor,
-			PDelay:       *chaosDelay,
-			DelayBy:      *chaosDelayBy,
-			Addrs:        addrs,
-		}, stop)
-	}
-	if *shardsOn {
-		if fam != nil {
-			fmt.Fprintln(os.Stderr, "detmt-load: -families is not supported in sharded mode")
-			os.Exit(2)
+		if *chaosOn {
+			inj = chaos.New()
+			o.Dial = inj.Dial(nil)
+			stop := make(chan struct{})
+			defer close(stop)
+			go inj.Run(chaos.Plan{
+				Seed:         *chaosSeed,
+				Step:         *chaosStep,
+				PSever:       *chaosSever,
+				PPartition:   *chaosPartition,
+				PartitionFor: *chaosPartitionFor,
+				PDelay:       *chaosDelay,
+				DelayBy:      *chaosDelayBy,
+				Addrs:        addrs,
+			}, stop)
 		}
-		var gen func(*ids.RNG) (uint64, string, []lang.Value)
-		if *kvOn {
-			nkeys, frac := *keys, *pGet
-			gen = func(rng *ids.RNG) (uint64, string, []lang.Value) {
-				return workload.KVRequest(rng, nkeys, frac)
+		if *shardsOn {
+			kind = "ring"
+			ring, err := server.FetchRing(addrs, 10*time.Second, o.Dial, logf)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
+				os.Exit(1)
 			}
+			ringHash, _ := ring.Hash()
+			log.Printf("detmt-load: ring %016x with %d shard(s), verified across %d member(s)",
+				ringHash, len(ring.Groups), len(addrs))
+			o.Ring = &ring
+			if *kvOn {
+				o.Draw = server.KVDraw(*keys, *pGet)
+			}
+		} else {
+			o.Servers = serverMap
 		}
-		runSharded(serverMap, shardedParams{
-			clients:     *clients,
-			requests:    *requests,
-			seed:        *seed,
-			workload:    wl,
-			gen:         gen,
-			clientBase:  *clientBase,
-			timeout:     *timeout,
-			rate:        *rate,
-			duration:    *duration,
-			warmup:      *warmup,
-			poisson:     *poisson,
-			slo:         *slo,
-			batchSubmit: *batchSubmit,
-			maxInFlight: *maxInFlight,
-			jsonOut:     *jsonOut,
-			dial:        opts.Dial,
-			logf:        logf,
-		})
-		return
-	}
-	if *rate > 0 {
-		runOpenLoop(server.OpenLoadOptions{
-			Servers:     serverMap,
-			Rate:        *rate,
-			Duration:    *duration,
-			Warmup:      *warmup,
-			Poisson:     *poisson,
-			Clients:     *clients,
-			MaxInFlight: *maxInFlight,
-			BatchSubmit: *batchSubmit,
-			SLO:         *slo,
-			Seed:        *seed,
-			Workload:    wl,
-			Families:    fam,
-			ClientBase:  *clientBase,
-			Dial:        opts.Dial,
-			Logf:        logf,
-		}, *jsonOut, inj)
-		return
 	}
 
-	res, err := server.RunLoad(opts)
-	if inj != nil {
-		sev, blocked := inj.Stats()
-		log.Printf("detmt-load: chaos totals: severed=%d dials-blocked=%d", sev, blocked)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-
-	qs := res.Latency.Quantiles(50, 95)
-	if *jsonOut {
-		out := struct {
-			Requests  int             `json:"requests"`
-			Errors    int             `json:"errors"`
-			Retries   int             `json:"retries"`
-			Timeouts  int             `json:"timeouts"`
-			ElapsedMs float64         `json:"elapsed_ms"`
-			MeanMs    float64         `json:"latency_mean_ms"`
-			P50Ms     float64         `json:"latency_p50_ms"`
-			P95Ms     float64         `json:"latency_p95_ms"`
-			MaxMs     float64         `json:"latency_max_ms"`
-			Converged bool            `json:"converged"`
-			Hashes    []uint64        `json:"hashes"`
-			Statuses  []server.Status `json:"statuses"`
-		}{
-			Requests:  res.Requests,
-			Errors:    res.Errors,
-			Retries:   res.Retries,
-			Timeouts:  res.Timeouts,
-			ElapsedMs: ms(res.Elapsed),
-			MeanMs:    ms(res.Latency.Mean()),
-			P50Ms:     ms(qs[0]),
-			P95Ms:     ms(qs[1]),
-			MaxMs:     ms(res.Latency.Max()),
-			Converged: res.Converged,
-			Hashes:    res.Hashes,
-			Statuses:  res.Statuses,
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("requests  %d (%d errors) in %s wall\n", res.Requests, res.Errors, res.Elapsed.Round(time.Millisecond))
-		fmt.Printf("errors    no-sequencer retries %d, timeouts %d\n", res.Retries, res.Timeouts)
-		fmt.Printf("latency   mean %s ms  p50 %s ms  p95 %s ms  max %s ms\n",
-			metrics.Ms(res.Latency.Mean()), metrics.Ms(qs[0]),
-			metrics.Ms(qs[1]), metrics.Ms(res.Latency.Max()))
-		for _, st := range res.Statuses {
-			fmt.Printf("replica %v  scheduler=%s completed=%d state=%d hash=%016x\n",
-				st.ID, st.Scheduler, st.Completed, st.State, st.Hash)
-		}
-	}
-	if !res.Converged {
-		fmt.Fprintln(os.Stderr, "detmt-load: DIVERGED — replica consistency hashes differ")
-		os.Exit(1)
-	}
-}
-
-// runOpenLoop drives the open-loop mode and prints its summary. Fatal
-// conditions (divergence, run error) exit non-zero; a missed SLO alone
-// does not — the ceiling search treads over the SLO on purpose.
-func runOpenLoop(o server.OpenLoadOptions, jsonOut bool, inj *chaos.Injector) {
-	res, err := server.RunOpenLoad(o)
+	res, err := server.RunLoad(o)
 	if inj != nil {
 		sev, blocked := inj.Stats()
 		log.Printf("detmt-load: chaos totals: severed=%d dials-blocked=%d", sev, blocked)
@@ -284,37 +174,102 @@ func runOpenLoop(o server.OpenLoadOptions, jsonOut bool, inj *chaos.Injector) {
 		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
 		os.Exit(1)
 	}
-	iq := res.Intent.Quantiles(50, 99, 99.9)
-	sq := res.Service.Quantiles(50, 99)
-	if jsonOut {
-		out := struct {
-			OfferedRPS  float64         `json:"offered_rps"`
-			AchievedRPS float64         `json:"achieved_rps"`
-			Sent        int             `json:"sent"`
-			Measured    int             `json:"measured"`
-			Shed        int             `json:"shed"`
-			Timeouts    int             `json:"timeouts"`
-			NoSeqErr    int             `json:"no_sequencer_errors"`
-			Errors      int             `json:"errors"`
-			IntentP50Ms float64         `json:"intent_p50_ms"`
-			IntentP99Ms float64         `json:"intent_p99_ms"`
-			IntentP999  float64         `json:"intent_p999_ms"`
-			IntentMaxMs float64         `json:"intent_max_ms"`
-			SvcP50Ms    float64         `json:"service_p50_ms"`
-			SvcP99Ms    float64         `json:"service_p99_ms"`
-			SLOMet      bool            `json:"slo_met"`
-			Converged   bool            `json:"converged"`
-			Hashes      []uint64        `json:"hashes"`
-			Statuses    []server.Status `json:"statuses"`
-		}{
+	if *jsonOut {
+		printJSON(res, o, kind)
+	} else {
+		printText(res, o, kind)
+	}
+	// Fatal: a run error or divergence; through the facade, which hides
+	// the replicas, any failed request. A missed SLO alone is not — the
+	// ceiling search treads over the SLO on purpose.
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
+		os.Exit(1)
+	}
+	if !res.Converged {
+		fmt.Fprintln(os.Stderr, "detmt-load: DIVERGED — replica consistency hashes differ")
+		os.Exit(1)
+	}
+	if kind == "http" && res.Errors+res.NoSeqErr > 0 {
+		os.Exit(1)
+	}
+}
+
+// summary is the one JSON shape: the loop's block, the shared counters,
+// and the target's replica block — per replica for an unsharded cluster,
+// per shard for a ring, none for the facade, which hides its replicas.
+type summary struct {
+	*closedSummary
+	*openSummary
+	Errors    int     `json:"errors"`
+	NoSeqErr  int     `json:"no_sequencer_errors"`
+	Timeouts  int     `json:"timeouts"`
+	ElapsedMs float64 `json:"elapsed_ms"`
+	Converged *bool   `json:"converged,omitempty"`
+	*clusterSummary
+	*ringSummary
+}
+
+type closedSummary struct {
+	Requests int     `json:"requests"`
+	Retries  int     `json:"retries"`
+	MeanMs   float64 `json:"latency_mean_ms"`
+	P50Ms    float64 `json:"latency_p50_ms"`
+	P95Ms    float64 `json:"latency_p95_ms"`
+	MaxMs    float64 `json:"latency_max_ms"`
+}
+
+type openSummary struct {
+	OfferedRPS  float64 `json:"offered_rps"`
+	AchievedRPS float64 `json:"achieved_rps"`
+	Sent        int     `json:"sent"`
+	Measured    int     `json:"measured"`
+	Shed        int     `json:"shed"`
+	IntentP50Ms float64 `json:"intent_p50_ms"`
+	IntentP99Ms float64 `json:"intent_p99_ms"`
+	IntentP999  float64 `json:"intent_p999_ms"`
+	IntentMaxMs float64 `json:"intent_max_ms"`
+	SvcP50Ms    float64 `json:"service_p50_ms"`
+	SvcP99Ms    float64 `json:"service_p99_ms"`
+	SLOMet      bool    `json:"slo_met"`
+}
+
+type clusterSummary struct {
+	Hashes   []uint64        `json:"hashes"`
+	Statuses []server.Status `json:"statuses"`
+}
+
+type ringSummary struct {
+	Imbalance float64     `json:"imbalance"`
+	PerShard  []shardLine `json:"per_shard"`
+}
+
+// shardLine is the per-shard slice of the ring summary.
+type shardLine struct {
+	Shard       int             `json:"shard"`
+	Routed      uint64          `json:"routed"`
+	AchievedRPS float64         `json:"achieved_rps,omitempty"`
+	Converged   bool            `json:"converged"`
+	Hashes      []uint64        `json:"hashes"`
+	Statuses    []server.Status `json:"statuses"`
+}
+
+func printJSON(res *server.LoadResult, o server.LoadOptions, kind string) {
+	out := summary{
+		Errors:    res.Errors,
+		NoSeqErr:  res.NoSeqErr,
+		Timeouts:  res.Timeouts,
+		ElapsedMs: ms(res.Elapsed),
+	}
+	if o.Rate > 0 {
+		iq := res.Intent.Quantiles(50, 99, 99.9)
+		sq := res.Service.Quantiles(50, 99)
+		out.openSummary = &openSummary{
 			OfferedRPS:  res.Offered,
 			AchievedRPS: res.Achieved,
 			Sent:        res.Sent,
 			Measured:    res.Measured,
 			Shed:        res.Shed,
-			Timeouts:    res.Timeouts,
-			NoSeqErr:    res.NoSeqErr,
-			Errors:      res.Errors,
 			IntentP50Ms: ms(iq[0]),
 			IntentP99Ms: ms(iq[1]),
 			IntentP999:  ms(iq[2]),
@@ -322,17 +277,49 @@ func runOpenLoop(o server.OpenLoadOptions, jsonOut bool, inj *chaos.Injector) {
 			SvcP50Ms:    ms(sq[0]),
 			SvcP99Ms:    ms(sq[1]),
 			SLOMet:      res.SLOMet,
-			Converged:   res.Converged,
-			Hashes:      res.Hashes,
-			Statuses:    res.Statuses,
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
 		}
 	} else {
+		qs := res.Service.Quantiles(50, 95)
+		out.closedSummary = &closedSummary{
+			Requests: res.Requests,
+			Retries:  res.Retries,
+			MeanMs:   ms(res.Service.Mean()),
+			P50Ms:    ms(qs[0]),
+			P95Ms:    ms(qs[1]),
+			MaxMs:    ms(res.Service.Max()),
+		}
+	}
+	switch kind {
+	case "cluster":
+		out.Converged = &res.Converged
+		out.clusterSummary = &clusterSummary{Hashes: res.Hashes, Statuses: res.Statuses}
+	case "ring":
+		out.Converged = &res.Converged
+		lines := make([]shardLine, 0, len(res.PerShard))
+		for _, s := range res.PerShard {
+			lines = append(lines, shardLine{
+				Shard:       s.Shard,
+				Routed:      s.Routed,
+				AchievedRPS: s.Achieved,
+				Converged:   s.Converged,
+				Hashes:      s.Hashes,
+				Statuses:    s.Statuses,
+			})
+		}
+		out.ringSummary = &ringSummary{Imbalance: res.Imbalance, PerShard: lines}
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
+		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func printText(res *server.LoadResult, o server.LoadOptions, kind string) {
+	if o.Rate > 0 {
+		iq := res.Intent.Quantiles(50, 99, 99.9)
+		sq := res.Service.Quantiles(50, 99)
 		fmt.Printf("offered   %.0f req/s  achieved %.0f req/s  (%d sent, %d measured)\n",
 			res.Offered, res.Achieved, res.Sent, res.Measured)
 		fmt.Printf("errors    shed %d, timeouts %d, no-sequencer %d, other %d\n",
@@ -347,364 +334,31 @@ func runOpenLoop(o server.OpenLoadOptions, jsonOut bool, inj *chaos.Injector) {
 			}
 			fmt.Printf("slo       p99 budget %v: %s\n", o.SLO, verdict)
 		}
+	} else {
+		qs := res.Service.Quantiles(50, 95)
+		fmt.Printf("requests  %d (%d errors) in %s wall\n", res.Requests, res.Errors, res.Elapsed.Round(time.Millisecond))
+		fmt.Printf("errors    no-sequencer retries %d, no-sequencer %d, timeouts %d\n",
+			res.Retries, res.NoSeqErr, res.Timeouts)
+		fmt.Printf("latency   mean %s ms  p50 %s ms  p95 %s ms  max %s ms\n",
+			metrics.Ms(res.Service.Mean()), metrics.Ms(qs[0]),
+			metrics.Ms(qs[1]), metrics.Ms(res.Service.Max()))
+	}
+	switch kind {
+	case "cluster":
 		for _, st := range res.Statuses {
 			fmt.Printf("replica %v  scheduler=%s completed=%d state=%d hash=%016x\n",
 				st.ID, st.Scheduler, st.Completed, st.State, st.Hash)
 		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	if !res.Converged {
-		fmt.Fprintln(os.Stderr, "detmt-load: DIVERGED — replica consistency hashes differ")
-		os.Exit(1)
-	}
-}
-
-// shardedParams carries the flag values the sharded mode consumes.
-type shardedParams struct {
-	clients     int
-	requests    int
-	seed        uint64
-	workload    workload.Fig1Config
-	gen         func(*ids.RNG) (uint64, string, []lang.Value)
-	clientBase  int
-	timeout     time.Duration
-	rate        float64
-	duration    time.Duration
-	warmup      time.Duration
-	poisson     bool
-	slo         time.Duration
-	batchSubmit bool
-	maxInFlight int
-	jsonOut     bool
-	dial        func(addr string) (net.Conn, error)
-	logf        func(format string, args ...interface{})
-}
-
-// shardLine is the per-shard slice of the sharded JSON summary.
-type shardLine struct {
-	Shard       int             `json:"shard"`
-	Routed      uint64          `json:"routed"`
-	AchievedRPS float64         `json:"achieved_rps,omitempty"`
-	Converged   bool            `json:"converged"`
-	Hashes      []uint64        `json:"hashes"`
-	Statuses    []server.Status `json:"statuses"`
-}
-
-func shardLines(sums []server.ShardSummary) []shardLine {
-	out := make([]shardLine, 0, len(sums))
-	for _, s := range sums {
-		out = append(out, shardLine{
-			Shard:       s.Shard,
-			Routed:      s.Routed,
-			AchievedRPS: s.Achieved,
-			Converged:   s.Converged,
-			Hashes:      s.Hashes,
-			Statuses:    s.Statuses,
-		})
-	}
-	return out
-}
-
-func printShardSummaries(sums []server.ShardSummary, imbalance float64) {
-	for _, s := range sums {
-		extra := ""
-		if s.Achieved > 0 {
-			extra = fmt.Sprintf("  achieved %.0f req/s", s.Achieved)
-		}
-		fmt.Printf("shard g%d  routed %d%s  converged=%v\n", s.Shard, s.Routed, extra, s.Converged)
-		for _, st := range s.Statuses {
-			fmt.Printf("  replica %v  completed=%d state=%d hash=%016x\n",
-				st.ID, st.Completed, st.State, st.Hash)
-		}
-	}
-	fmt.Printf("imbalance %.3f (max/mean routed per shard; 1.000 = perfectly even)\n", imbalance)
-}
-
-// runSharded fetches and verifies the ring, then drives the closed- or
-// open-loop sharded driver against it.
-func runSharded(serverMap map[ids.ReplicaID]string, p shardedParams) {
-	addrs := make([]string, 0, len(serverMap))
-	for _, a := range serverMap {
-		addrs = append(addrs, a)
-	}
-	ring, err := server.FetchRing(addrs, 10*time.Second, p.dial, p.logf)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	ringHash, _ := ring.Hash()
-	log.Printf("detmt-load: ring %016x with %d shard(s), verified across %d member(s)",
-		ringHash, len(ring.Groups), len(addrs))
-
-	if p.rate > 0 {
-		res, err := server.RunShardedOpenLoad(server.ShardedOpenLoadOptions{
-			Ring:        ring,
-			Rate:        p.rate,
-			Duration:    p.duration,
-			Warmup:      p.warmup,
-			Poisson:     p.poisson,
-			Clients:     p.clients,
-			MaxInFlight: p.maxInFlight,
-			BatchSubmit: p.batchSubmit,
-			SLO:         p.slo,
-			Seed:        p.seed,
-			Workload:    p.workload,
-			Gen:         p.gen,
-			ClientBase:  p.clientBase,
-			Dial:        p.dial,
-			Logf:        p.logf,
-		})
-		if res == nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
-		}
-		iq := res.Intent.Quantiles(50, 99)
-		if p.jsonOut {
-			out := struct {
-				OfferedRPS  float64     `json:"offered_rps"`
-				AchievedRPS float64     `json:"achieved_rps"`
-				Sent        int         `json:"sent"`
-				Measured    int         `json:"measured"`
-				Shed        int         `json:"shed"`
-				Timeouts    int         `json:"timeouts"`
-				Errors      int         `json:"errors"`
-				IntentP50Ms float64     `json:"intent_p50_ms"`
-				IntentP99Ms float64     `json:"intent_p99_ms"`
-				SLOMet      bool        `json:"slo_met"`
-				Imbalance   float64     `json:"imbalance"`
-				Converged   bool        `json:"converged"`
-				PerShard    []shardLine `json:"per_shard"`
-			}{
-				OfferedRPS:  res.Offered,
-				AchievedRPS: res.Achieved,
-				Sent:        res.Sent,
-				Measured:    res.Measured,
-				Shed:        res.Shed,
-				Timeouts:    res.Timeouts,
-				Errors:      res.Errors + res.NoSeqErr,
-				IntentP50Ms: ms(iq[0]),
-				IntentP99Ms: ms(iq[1]),
-				SLOMet:      res.SLOMet,
-				Imbalance:   res.Imbalance,
-				Converged:   res.Converged,
-				PerShard:    shardLines(res.PerShard),
-			}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if eerr := enc.Encode(out); eerr != nil {
-				fmt.Fprintf(os.Stderr, "detmt-load: %v\n", eerr)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("offered   %.0f req/s aggregate  achieved %.0f req/s  (%d sent, %d measured)\n",
-				res.Offered, res.Achieved, res.Sent, res.Measured)
-			fmt.Printf("errors    shed %d, timeouts %d, no-sequencer %d, other %d\n",
-				res.Shed, res.Timeouts, res.NoSeqErr, res.Errors)
-			fmt.Printf("intent    p50 %s ms  p99 %s ms  (coordinated-omission corrected)\n",
-				metrics.Ms(iq[0]), metrics.Ms(iq[1]))
-			if p.slo > 0 {
-				verdict := "MET"
-				if !res.SLOMet {
-					verdict = "MISSED"
-				}
-				fmt.Printf("slo       p99 budget %v: %s\n", p.slo, verdict)
-			}
-			printShardSummaries(res.PerShard, res.Imbalance)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
-		}
-		if !res.Converged {
-			fmt.Fprintln(os.Stderr, "detmt-load: DIVERGED — a shard's replica hashes differ")
-			os.Exit(1)
-		}
-		return
-	}
-
-	res, err := server.RunShardedLoad(server.ShardedLoadOptions{
-		Ring:              ring,
-		Clients:           p.clients,
-		RequestsPerClient: p.requests,
-		Seed:              p.seed,
-		Workload:          p.workload,
-		Gen:               p.gen,
-		ClientBase:        p.clientBase,
-		Timeout:           p.timeout,
-		Dial:              p.dial,
-		Logf:              p.logf,
-	})
-	if res == nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	qs := res.Latency.Quantiles(50, 95)
-	if p.jsonOut {
-		out := struct {
-			Requests  int         `json:"requests"`
-			Errors    int         `json:"errors"`
-			Retries   int         `json:"retries"`
-			ElapsedMs float64     `json:"elapsed_ms"`
-			MeanMs    float64     `json:"latency_mean_ms"`
-			P50Ms     float64     `json:"latency_p50_ms"`
-			P95Ms     float64     `json:"latency_p95_ms"`
-			Imbalance float64     `json:"imbalance"`
-			Converged bool        `json:"converged"`
-			PerShard  []shardLine `json:"per_shard"`
-		}{
-			Requests:  res.Requests,
-			Errors:    res.Errors,
-			Retries:   res.Retries,
-			ElapsedMs: ms(res.Elapsed),
-			MeanMs:    ms(res.Latency.Mean()),
-			P50Ms:     ms(qs[0]),
-			P95Ms:     ms(qs[1]),
-			Imbalance: res.Imbalance,
-			Converged: res.Converged,
-			PerShard:  shardLines(res.PerShard),
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if eerr := enc.Encode(out); eerr != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", eerr)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("requests  %d (%d errors) in %s wall\n",
-			res.Requests, res.Errors, res.Elapsed.Round(time.Millisecond))
-		fmt.Printf("latency   mean %s ms  p50 %s ms  p95 %s ms\n",
-			metrics.Ms(res.Latency.Mean()), metrics.Ms(qs[0]), metrics.Ms(qs[1]))
-		printShardSummaries(res.PerShard, res.Imbalance)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	if !res.Converged {
-		fmt.Fprintln(os.Stderr, "detmt-load: DIVERGED — a shard's replica hashes differ")
-		os.Exit(1)
-	}
-}
-
-// httpParams carries the flag values the httpload mode consumes.
-type httpParams struct {
-	clients     int
-	requests    int
-	seed        uint64
-	keys        int
-	pGet        float64
-	rate        float64
-	duration    time.Duration
-	warmup      time.Duration
-	poisson     bool
-	slo         time.Duration
-	maxInFlight int
-	jsonOut     bool
-	logf        func(format string, args ...interface{})
-}
-
-// runHTTP drives a detmt-gateway facade: closed-loop by default, open
-// loop when -rate is set.
-func runHTTP(url string, p httpParams) {
-	if p.rate > 0 {
-		res, err := kvapi.RunHTTPOpenLoad(kvapi.HTTPOpenLoadOptions{
-			URL:         url,
-			Rate:        p.rate,
-			Duration:    p.duration,
-			Warmup:      p.warmup,
-			Poisson:     p.poisson,
-			MaxInFlight: p.maxInFlight,
-			SLO:         p.slo,
-			Keys:        p.keys,
-			PGet:        p.pGet,
-			Seed:        p.seed,
-			Logf:        p.logf,
-		})
-		if res == nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
-		}
-		iq := res.Intent.Quantiles(50, 99)
-		if p.jsonOut {
-			out := struct {
-				OfferedRPS  float64 `json:"offered_rps"`
-				AchievedRPS float64 `json:"achieved_rps"`
-				Sent        int     `json:"sent"`
-				Measured    int     `json:"measured"`
-				Shed        int     `json:"shed"`
-				Errors      int     `json:"errors"`
-				IntentP50Ms float64 `json:"intent_p50_ms"`
-				IntentP99Ms float64 `json:"intent_p99_ms"`
-				SLOMet      bool    `json:"slo_met"`
-			}{res.Offered, res.Achieved, res.Sent, res.Measured, res.Shed,
-				res.Errors, ms(iq[0]), ms(iq[1]), res.SLOMet}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if eerr := enc.Encode(out); eerr != nil {
-				fmt.Fprintf(os.Stderr, "detmt-load: %v\n", eerr)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("offered   %.0f req/s  achieved %.0f req/s  (%d sent, %d measured)\n",
-				res.Offered, res.Achieved, res.Sent, res.Measured)
-			fmt.Printf("errors    shed %d, other %d\n", res.Shed, res.Errors)
-			fmt.Printf("intent    p50 %s ms  p99 %s ms  (coordinated-omission corrected)\n",
-				metrics.Ms(iq[0]), metrics.Ms(iq[1]))
-			if p.slo > 0 {
-				verdict := "MET"
-				if !res.SLOMet {
-					verdict = "MISSED"
-				}
-				fmt.Printf("slo       p99 budget %v: %s\n", p.slo, verdict)
+	case "ring":
+		for _, s := range res.PerShard {
+			fmt.Printf("shard g%d  routed %d  achieved %.0f req/s  converged=%v\n",
+				s.Shard, s.Routed, s.Achieved, s.Converged)
+			for _, st := range s.Statuses {
+				fmt.Printf("  replica %v  completed=%d state=%d hash=%016x\n",
+					st.ID, st.Completed, st.State, st.Hash)
 			}
 		}
-		if res.Errors > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	res, err := kvapi.RunHTTPLoad(kvapi.HTTPLoadOptions{
-		URL:               url,
-		Clients:           p.clients,
-		RequestsPerClient: p.requests,
-		Keys:              p.keys,
-		PGet:              p.pGet,
-		Seed:              p.seed,
-		Logf:              p.logf,
-	})
-	if res == nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	qs := res.Latency.Quantiles(50, 95)
-	if p.jsonOut {
-		out := struct {
-			Requests  int     `json:"requests"`
-			Errors    int     `json:"errors"`
-			ElapsedMs float64 `json:"elapsed_ms"`
-			MeanMs    float64 `json:"latency_mean_ms"`
-			P50Ms     float64 `json:"latency_p50_ms"`
-			P95Ms     float64 `json:"latency_p95_ms"`
-		}{res.Requests, res.Errors, ms(res.Elapsed),
-			ms(res.Latency.Mean()), ms(qs[0]), ms(qs[1])}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if eerr := enc.Encode(out); eerr != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", eerr)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("requests  %d (%d errors) in %s wall\n",
-			res.Requests, res.Errors, res.Elapsed.Round(time.Millisecond))
-		fmt.Printf("latency   mean %s ms  p50 %s ms  p95 %s ms\n",
-			metrics.Ms(res.Latency.Mean()), metrics.Ms(qs[0]), metrics.Ms(qs[1]))
-	}
-	if res.Errors > 0 {
-		os.Exit(1)
+		fmt.Printf("imbalance %.3f (max/mean routed per shard; 1.000 = perfectly even)\n", res.Imbalance)
 	}
 }
 

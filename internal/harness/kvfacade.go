@@ -7,11 +7,8 @@ import (
 	"strings"
 	"time"
 
-	"detmt/internal/ids"
 	"detmt/internal/kvapi"
-	"detmt/internal/lang"
 	"detmt/internal/server"
-	"detmt/internal/workload"
 )
 
 // KVFacadeOptions sizes experiment E17, the HTTP facade overhead
@@ -48,11 +45,11 @@ func DefaultKVFacadeOptions() KVFacadeOptions {
 // object with the stateless HTTP gateway cost? Two rate-ceiling
 // searches against identical fresh clusters (detmt-server -kv):
 //
-//   - direct: the sharded open-loop driver speaks the wire protocol
+//   - direct: the load engine's ring target speaks the wire protocol
 //     straight to the shards, drawing KV gets and tokenized puts.
 //   - gateway: an in-process kvapi.Gateway serves real HTTP on a
-//     loopback socket and the HTTP open-loop driver walks the same
-//     rate ladder through it.
+//     loopback socket and the engine walks the same rate ladder, with
+//     the same draws, through kvapi.HTTPTarget.
 //
 // The headline metric is gateway_overhead_pct — the ceiling the facade
 // gives up to HTTP framing, JSON bodies, and the extra hop. The
@@ -104,17 +101,14 @@ func KVFacade(o KVFacadeOptions) Result {
 		if err != nil {
 			return 0, err
 		}
-		res, err := server.FindAggregateCeiling(server.ShardedOpenLoadOptions{
-			Ring:        ring,
-			Duration:    o.Duration,
-			Warmup:      o.Warmup,
-			BatchSubmit: true,
-			SLO:         100 * time.Millisecond,
-			Seed:        7,
-			Workload:    openLoopWorkload(),
-			Gen: func(rng *ids.RNG) (uint64, string, []lang.Value) {
-				return workload.KVRequest(rng, o.Keys, o.PGet)
-			},
+		res, err := server.FindCeiling(server.LoadOptions{
+			Ring:          &ring,
+			Duration:      o.Duration,
+			Warmup:        o.Warmup,
+			BatchSubmit:   true,
+			SLO:           100 * time.Millisecond,
+			Seed:          7,
+			Draw:          server.KVDraw(o.Keys, o.PGet),
 			SettleTimeout: 60 * time.Second,
 		}, o.StartRate, 1.25, 8)
 		if res == nil {
@@ -149,14 +143,15 @@ func KVFacade(o KVFacadeOptions) Result {
 		hs := &http.Server{Handler: gw}
 		go hs.Serve(ln)
 		defer hs.Close()
-		res, err := kvapi.FindHTTPCeiling(kvapi.HTTPOpenLoadOptions{
-			URL:      "http://" + ln.Addr().String(),
+		target := kvapi.NewHTTPTarget("http://" + ln.Addr().String())
+		defer target.Close()
+		res, err := server.FindCeiling(server.LoadOptions{
+			Target:   target,
 			Duration: o.Duration,
 			Warmup:   o.Warmup,
 			SLO:      100 * time.Millisecond,
-			Keys:     o.Keys,
-			PGet:     o.PGet,
 			Seed:     7,
+			Draw:     server.KVDraw(o.Keys, o.PGet),
 		}, o.StartRate, 1.25, 8)
 		if res == nil {
 			return 0, err

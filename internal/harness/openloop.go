@@ -195,9 +195,8 @@ func OpenLoop(o OpenLoopOptions) Result {
 		if err != nil {
 			return 0, 0, err
 		}
-		rps := float64(res.Requests-res.Errors) / res.Elapsed.Seconds()
-		q := res.Latency.Quantiles(50)
-		return rps, float64(q[0]) / float64(time.Millisecond), nil
+		q := res.Service.Quantiles(50)
+		return res.Achieved, float64(q[0]) / float64(time.Millisecond), nil
 	}
 	if rps, p50, err := closed(1, 400, 1); err != nil {
 		fmt.Fprintf(&b, "closed-loop baseline FAILED: %v\n", err)
@@ -233,7 +232,7 @@ func OpenLoop(o OpenLoopOptions) Result {
 				fmt.Fprintf(&b, "%-16s %10.0f FAILED: %v\n", cfg.key, rate, err)
 				continue
 			}
-			res, err := server.RunOpenLoad(server.OpenLoadOptions{
+			res, err := server.RunLoad(server.LoadOptions{
 				Servers:       addrs,
 				Rate:          rate,
 				Duration:      o.Duration,
@@ -292,7 +291,7 @@ func Ceiling(o OpenLoopOptions) Result {
 		fmt.Fprintf(&b, "FAILED: %v\n", err)
 	} else {
 		defer closeAll()
-		res, err := server.FindCeiling(server.OpenLoadOptions{
+		res, err := server.FindCeiling(server.LoadOptions{
 			Servers:       addrs,
 			Duration:      o.Duration,
 			Warmup:        o.Warmup,

@@ -169,8 +169,8 @@ func Sharded(o ShardedOptions) Result {
 		hash, _ := ring.Hash()
 		fmt.Fprintf(&b, "-- %d shard(s), ring %016x --\n", n, hash)
 		fmt.Fprintf(&b, "%10s %12s %10s %10s %10s\n", "offered", "achieved", "p50-ms", "p99-ms", "sustained")
-		res, err := server.FindAggregateCeiling(server.ShardedOpenLoadOptions{
-			Ring:          ring,
+		res, err := server.FindCeiling(server.LoadOptions{
+			Ring:          &ring,
 			Duration:      o.Duration,
 			Warmup:        o.Warmup,
 			BatchSubmit:   true,

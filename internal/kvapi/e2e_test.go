@@ -236,18 +236,19 @@ func TestGatewayE2E(t *testing.T) {
 
 	// --- Concurrent load across a sequencer kill. ---
 	type loadOut struct {
-		res *HTTPLoadResult
+		res *server.LoadResult
 		err error
 	}
 	ch := make(chan loadOut, 1)
 	go func() {
-		res, err := RunHTTPLoad(HTTPLoadOptions{
-			URL:               ts.URL,
+		target := NewHTTPTarget(ts.URL)
+		defer target.Close()
+		res, err := server.RunLoad(server.LoadOptions{
+			Target:            target,
+			Draw:              server.KVDraw(256, 0.5),
 			Clients:           8,
 			RequestsPerClient: 25,
-			Keys:              256,
 			Seed:              3,
-			Timeout:           70 * time.Second,
 			Logf:              debugLogf,
 		})
 		ch <- loadOut{res, err}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"time"
 
@@ -29,8 +30,8 @@ type ShardClientOptions struct {
 // one group-tagged transport, client-only group, view poller, and
 // client pool per shard, plus the consistent-hash router. It is what a
 // serving front end (the HTTP gateway) holds open between requests —
-// unlike the load drivers, which build and tear the same stack down
-// around a single run. Invoke is safe for concurrent use.
+// unlike the load engine's wire target, which builds and tears the same
+// stacks down around a single run. Invoke is safe for concurrent use.
 type ShardClients struct {
 	ring    shard.RingConfig
 	router  *shard.Router
@@ -57,7 +58,8 @@ func DialShards(ring shard.RingConfig, o ShardClientOptions) (*ShardClients, err
 		logf:    o.Logf,
 	}
 	for k := range cfg.Groups {
-		st, err := newShardStack(cfg, k, o.Clients, o.ClientBase, o.EpochDir, o.Dial, o.Logf)
+		g := cfg.Groups[k]
+		st, err := newShardStack(g.Members, fmt.Sprintf("g%d", g.ID), o.Clients, o.ClientBase, o.EpochDir, o.Dial, o.Logf)
 		if err != nil {
 			sc.Close()
 			return nil, err
@@ -90,7 +92,9 @@ func (sc *ShardClients) Invoke(slot int, key uint64, deadline time.Time,
 		slot = -slot
 	}
 	cl := sc.stacks[k].pool[slot%sc.clients]
-	return invokeWithRetry(cl, LoadOptions{Logf: sc.logf}, deadline, method, args)
+	return invokeWithRetry(sc.logf, deadline, func() (lang.Value, time.Duration, error) {
+		return cl.Invoke(method, args...)
+	})
 }
 
 // Statuses polls shard k's replicas' control endpoints (ascending id).

@@ -93,10 +93,10 @@ func runCluster(t *testing.T, kind replica.SchedulerKind, o LoadOptions) *LoadRe
 			t.Fatalf("%s: replica %v state %d, want %d", kind, st.ID, st.State, wantState)
 		}
 	}
-	if res.Latency.N() != total {
-		t.Fatalf("%s: recorded %d latencies, want %d", kind, res.Latency.N(), total)
+	if res.Service.N() != uint64(total) {
+		t.Fatalf("%s: recorded %d latencies, want %d", kind, res.Service.N(), total)
 	}
-	if res.Latency.Mean() <= 0 {
+	if res.Service.Mean() <= 0 {
 		t.Fatalf("%s: non-positive mean latency", kind)
 	}
 	return res

@@ -79,7 +79,7 @@ func runEarlyCluster(t *testing.T, kind replica.SchedulerKind, conflict float64,
 	fam := testFamilies(conflict)
 	_, addrs := startEarlyCluster(t, 3, kind, fam)
 	o.Servers = addrs
-	o.Families = &fam
+	o.Draw = FamilyDraw(fam)
 	if o.Timeout == 0 {
 		o.Timeout = 90 * time.Second
 	}
@@ -166,13 +166,12 @@ func TestClusterEarlySchedChaos(t *testing.T) {
 			servers[0].Transport().DropPeer(ids.ReplicaID(2 + i%2)) // sequencer -> R2/R3
 		}
 	}()
-	fam2 := fam
 	res, err := RunLoad(LoadOptions{
 		Servers:           addrs,
 		Clients:           2,
 		RequestsPerClient: 4,
 		Seed:              5,
-		Families:          &fam2,
+		Draw:              FamilyDraw(fam),
 		Timeout:           90 * time.Second,
 	})
 	if err != nil {

@@ -3,8 +3,8 @@ package server
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -13,89 +13,702 @@ import (
 	"syscall"
 	"time"
 
-	"detmt/internal/gcs"
 	"detmt/internal/ids"
 	"detmt/internal/lang"
 	"detmt/internal/metrics"
-	"detmt/internal/replica"
-	"detmt/internal/vclock"
+	"detmt/internal/shard"
 	"detmt/internal/wire"
 	"detmt/internal/workload"
 )
 
-// LoadOptions parameterises one closed-loop load-generator run against a
-// running cluster (the Fig. 1 measurement protocol over real sockets).
+// Request is one drawn invocation: the routing key a ring-routed target
+// maps to a group, and the method call that group orders.
+type Request struct {
+	Key    uint64
+	Method string
+	Args   []lang.Value
+}
+
+// Pending is one submitted request's reply handle (*replica.Pending
+// satisfies it). Wait blocks until the reply and returns it with the
+// service latency: reply time minus send time.
+type Pending interface {
+	Wait() (lang.Value, time.Duration, error)
+}
+
+// Target is what a load run drives: the wire cluster (one group or a
+// ring of them), the HTTP facade (kvapi.HTTPTarget), or a test fake.
+// The engine draws requests, routes them, paces and counts them; the
+// target only carries them and reports on its replicas afterwards.
+type Target interface {
+	// Groups is the number of independently ordered groups behind the
+	// target.
+	Groups() int
+	// Route maps a request's key to its group, in [0, Groups()).
+	Route(key uint64) int
+	// Submit issues reqs, all routed to group, through client slot
+	// `slot` (in [0, LoadOptions.Clients)) as one atomic unit, and
+	// returns one reply handle per request. It must not block on
+	// replies.
+	Submit(group, slot int, reqs []Request) []Pending
+	// Settle waits until every replica of every group has applied the
+	// run — answered[g] requests were answered by group g — and reports
+	// per-group statuses and hash agreement, ascending group. A target
+	// whose replicas are not observable returns nil.
+	Settle(answered []int, by time.Time) ([]ShardSummary, error)
+}
+
+// LoadOptions parameterises one load run: the Fig. 1 measurement
+// protocol (clients draw every random choice and pass it as
+// parameters) against a Target. Rate == 0 runs a closed loop —
+// Clients workers each issue RequestsPerClient requests, one at a time
+// or as one Pipelined batch. Rate > 0 runs an open loop: arrivals
+// follow a schedule independent of response times, so a slow cluster
+// builds queue instead of slowing the offered rate down, which is the
+// only way to find the throughput ceiling without coordinated omission
+// hiding it.
 type LoadOptions struct {
-	// Servers maps every cluster member's replica id to its address. The
-	// load generator dials all of them: requests go to the sequencer,
+	// Target receives the requests. nil dials a wire target: the
+	// groups of Ring when it is set, else the single untagged group
+	// Servers. RunLoad closes a target it dialled; a caller-supplied
+	// one stays open.
+	Target Target
+	// Servers maps every member of an unsharded cluster to its address.
+	// The generator dials all of them: requests go to the sequencer,
 	// replies come back from every replica (first reply wins).
 	Servers map[ids.ReplicaID]string
-	// Clients is the number of concurrent closed-loop clients.
+	// Ring is a sharded deployment's verified topology (FetchRing or
+	// shard.SymmetricConfig): every request is routed by its key.
+	Ring *shard.RingConfig
+
+	// Clients is the client pool: closed-loop workers (default 1), or
+	// the open loop's submit pool (default 16), which requests rotate
+	// across so no single per-client sequence number stream serialises
+	// the offered load. On a ring each client holds an identity in
+	// every group (client ids are per-group).
 	Clients int
-	// RequestsPerClient is how many requests each client issues.
+	// RequestsPerClient is how many requests each closed-loop client
+	// issues.
 	RequestsPerClient int
-	// Seed drives the client-side random decisions (paper Fig. 1: the
-	// clients make all random choices and pass them as parameters).
-	Seed uint64
-	// Workload must match the cluster's configuration.
-	Workload workload.Fig1Config
-	// Families switches the generated requests to the family-partitioned
-	// workload (must match the servers' Options.Families). Incompatible
-	// with Pipelined, which batches one method.
-	Families *workload.FamilyConfig
-	// ClientBase offsets the generated client ids: clients are
-	// ClientBase+1 .. ClientBase+Clients. Distinct load runs against the
-	// SAME cluster must use disjoint ranges — request identity (client id
-	// + per-client counter) reaches the deterministic schedule and the
-	// replicas' duplicate suppression, so a new generator incarnation is
-	// a new set of clients, not a resumption of the old ones. Runs
-	// against different clusters that should produce comparable hashes
-	// must use the SAME base (default 0).
-	ClientBase int
-	// Pipelined makes each client submit all its requests as ONE atomic
-	// batch before collecting replies. A single pipelined client gives
-	// the whole run a reproducible total order — the property the
-	// reconnect-determinism test asserts.
+	// Pipelined makes each closed-loop client submit all its requests
+	// as one atomic batch per group before collecting replies. A single
+	// pipelined client gives the whole run a reproducible total order —
+	// the property the reconnect-determinism test asserts.
 	Pipelined bool
-	// EpochDir persists the generator's wire-epoch counter. Every run
-	// shares the transport name "load", so each one must present a
-	// strictly higher restart epoch than any other run against the same
-	// cluster — a wall-clock epoch alone lets two runs started within
-	// the same clock tick collide (one gets swallowed as a stale
-	// incarnation). "" uses a shared directory under the OS temp dir.
-	EpochDir string
-	// Timeout bounds the whole run in wall time (default 2 minutes).
+	// Timeout bounds a closed-loop run in wall time: its requests,
+	// their no-sequencer retries and the convergence wait (default 2
+	// minutes).
 	Timeout time.Duration
-	// SettleTimeout bounds the post-run wait for every replica to report
-	// the expected completion count (default: remaining Timeout).
+
+	// Rate is the open loop's offered arrival rate in requests per
+	// second (0: closed loop).
+	Rate float64
+	// Duration is the open loop's measured window (default 5s). Only
+	// completions whose scheduled intent time falls inside the window
+	// are measured.
+	Duration time.Duration
+	// Warmup precedes the measured window (default 1s, negative: none):
+	// arrivals are offered but their completions are not measured, so
+	// connection setup and first-touch allocation stay out of the
+	// histograms.
+	Warmup time.Duration
+	// Poisson draws exponential inter-arrival times (mean 1/Rate)
+	// instead of a fixed interval. Seeded, so the schedule reproduces.
+	Poisson bool
+	// MaxInFlight caps outstanding open-loop requests (default 4096).
+	// Arrivals beyond the cap are shed and counted, not queued
+	// client-side: unbounded client queues would turn an overloaded run
+	// into an unbounded-memory run and report meaningless latencies.
+	MaxInFlight int
+	// BatchSubmit coalesces the arrivals due at one pump wakeup into one
+	// atomic frame per group — the client-side half of group commit.
+	BatchSubmit bool
+	// SLO is the p99 budget on intent latency for the SLOMet verdict and
+	// the ceiling search (0: no verdict).
+	SLO time.Duration
+
+	// Seed drives every client-side random decision: request draws and
+	// the Poisson schedule.
+	Seed uint64
+	// Workload parameterises the default draw and must match the
+	// cluster's configuration.
+	Workload workload.Fig1Config
+	// Draw overrides the per-request draw (nil: the Fig. 1 workload
+	// under a uniformly random key). FamilyDraw and KVDraw are the
+	// alternatives the servers can be configured for.
+	Draw func(rng *ids.RNG) Request
+
+	// ClientBase offsets the wire target's client ids: clients are
+	// ClientBase+1 .. ClientBase+Clients. Distinct load runs against the
+	// SAME cluster must use disjoint ranges — request identity (client
+	// id + per-client counter) reaches the deterministic schedule and
+	// the replicas' duplicate suppression, so a new generator
+	// incarnation is a new set of clients, not a resumption of the old
+	// ones. Runs against different clusters that should produce
+	// comparable hashes must use the SAME base (default 0).
+	ClientBase int
+	// EpochDir persists the generator's wire-epoch counter. Every run
+	// shares the transport name "load" (per group: "load-g<id>"), so
+	// each one must present a strictly higher restart epoch than any
+	// other run against the same cluster — a wall-clock epoch alone lets
+	// two runs started within the same clock tick collide (one gets
+	// swallowed as a stale incarnation). "" uses a shared directory
+	// under the OS temp dir.
+	EpochDir string
+	// SettleTimeout bounds the open loop's wait, after the last
+	// scheduled arrival, for outstanding replies and then for every
+	// replica to converge (default 30s).
 	SettleTimeout time.Duration
-	// Dial overrides the transport dialer (nil: plain TCP). The chaos
-	// injector hooks in here to fault the generator's own connections.
+	// Dial overrides the wire transport dialer (nil: plain TCP). The
+	// chaos injector hooks in here to fault the generator's own
+	// connections.
 	Dial func(addr string) (net.Conn, error)
 
 	Logf func(format string, args ...interface{})
 }
 
+// withDefaults resolves the zero values documented on LoadOptions.
+func (o LoadOptions) withDefaults() LoadOptions {
+	if o.Clients <= 0 {
+		o.Clients = 1
+		if o.Rate > 0 {
+			o.Clients = 16
+		}
+	}
+	if o.RequestsPerClient <= 0 {
+		o.RequestsPerClient = 1
+	}
+	if o.Timeout <= 0 {
+		o.Timeout = 2 * time.Minute
+	}
+	if o.Duration <= 0 {
+		o.Duration = 5 * time.Second
+	}
+	if o.Warmup == 0 {
+		o.Warmup = time.Second
+	}
+	if o.MaxInFlight <= 0 {
+		o.MaxInFlight = 4096
+	}
+	if o.SettleTimeout <= 0 {
+		o.SettleTimeout = 30 * time.Second
+	}
+	if o.Workload.Iterations == 0 {
+		o.Workload = workload.DefaultFig1()
+	}
+	return o
+}
+
+// fig1Draw is the default draw: the Fig. 1 workload under a uniformly
+// random key. A one-group target routes nothing, so there it draws no
+// key: a seed sends a single group the plain Fig. 1 stream.
+func fig1Draw(wl workload.Fig1Config, routed bool) func(*ids.RNG) Request {
+	return func(rng *ids.RNG) Request {
+		var key uint64
+		if routed {
+			key = rng.Uint64()
+		}
+		return Request{Key: key, Method: workload.MethodName, Args: workload.Fig1Args(wl, rng)}
+	}
+}
+
+// FamilyDraw draws the family-partitioned workload (the servers must run
+// the same workload.FamilyConfig). It draws no key: the family workload
+// runs on one group.
+func FamilyDraw(f workload.FamilyConfig) func(*ids.RNG) Request {
+	return func(rng *ids.RNG) Request {
+		method, args := workload.FamilyArgs(f, rng)
+		return Request{Method: method, Args: args}
+	}
+}
+
+// KVDraw draws the replicated KV object's operations: gets with
+// probability pGet, otherwise tokenized puts, over `keys` keys, each
+// routed by its store key (servers started with -kv).
+func KVDraw(keys int, pGet float64) func(*ids.RNG) Request {
+	return func(rng *ids.RNG) Request {
+		key, method, args := workload.KVRequest(rng, keys, pGet)
+		return Request{Key: key, Method: method, Args: args}
+	}
+}
+
 // LoadResult is the outcome of one load run.
 type LoadResult struct {
-	Latency  *metrics.Sample // client-perceived per-request wall latency
-	Requests int
-	Errors   int
-	// Retries counts fast-fail ErrNoSequencer submissions that were
-	// retried during an election window — invisible in the latency
-	// sample (the retry's latency restarts), so reported explicitly.
-	Retries int
-	// Timeouts counts requests still unanswered when the run deadline
-	// expired (only non-zero on a timed-out run).
+	Offered  float64 // open loop: requested arrival rate (req/s)
+	Achieved float64 // measured completions / measured window (req/s)
+	Sent     int     // requests submitted (retries not counted)
+	Requests int     // requests resolved: answered or failed
+	Measured int     // answered requests whose intent fell inside the window
+	Shed     int     // open loop: arrivals dropped at the MaxInFlight cap
+	// Timeouts counts requests still unanswered at the drain deadline
+	// (closed loop: including those a stalled client never sent).
 	Timeouts int
-	Elapsed  time.Duration // wall time from first request to last reply
-	// Statuses are the final per-replica control snapshots, ascending id.
+	NoSeqErr int // requests failed on gcs.ErrNoSequencer
+	Errors   int // other request errors
+	// Retries counts closed-loop ErrNoSequencer submissions retried
+	// during an election window — invisible in the latency histograms
+	// (the retry's service latency restarts), so reported explicitly.
+	Retries int
+	// Intent is the coordinated-omission-corrected latency: reply time
+	// minus the request's intent time — its scheduled arrival in the
+	// open loop, the moment its client drew it in the closed loop.
+	// Queueing delay caused by a saturated cluster shows up here.
+	Intent *metrics.Histogram
+	// Service is reply time minus the answered attempt's send time —
+	// what a closed-loop client perceives.
+	Service *metrics.Histogram
+	Elapsed time.Duration // wall time from the first request to the drain
+	// SLOMet reports whether Intent's p99 stayed within SLO (true when
+	// no SLO was set).
+	SLOMet bool
+	// PerShard summarises each group the target reported, ascending;
+	// Imbalance is max/mean over routed counts (1.0 = perfectly even).
+	PerShard  []ShardSummary
+	Imbalance float64
+	// Statuses/Hashes are the single group's per-replica snapshots and
+	// schedule hashes, ascending replica id (set for one-group targets).
 	Statuses []Status
-	// Hashes are the per-replica schedule consistency hashes, ascending
-	// id; Converged reports whether they are all equal (the determinism
-	// criterion) and every replica completed all requests.
+	Hashes   []uint64
+	// Converged reports whether every group's replicas all applied the
+	// run with identical hashes (the determinism criterion).
+	Converged bool
+}
+
+// ShardSummary is one group's slice of a load run.
+type ShardSummary struct {
+	Shard    int     // group id
+	Routed   uint64  // requests routed here
+	Achieved float64 // measured completions / measured window (req/s)
+	Intent   *metrics.Histogram
+	// Statuses/Hashes/Converged: the group's replicas after settling —
+	// converged means all of them completed the same count with
+	// bit-identical ConsistencyHash.
+	Statuses  []Status
 	Hashes    []uint64
 	Converged bool
+}
+
+// engine is one run's shared state: the pump or the closed-loop
+// clients issue through it, reply waiters record into it.
+type engine struct {
+	o        LoadOptions
+	t        Target
+	start    time.Time
+	from, to time.Time // the measured window over intent times
+
+	inFlight atomic.Int64
+
+	mu     sync.Mutex
+	res    *LoadResult
+	want   int // resolutions that end the drain (-1: not yet known)
+	idle   chan struct{}
+	closed bool // drained: late replies are no longer recorded
+	routed []uint64
+	// answered/measured/intent are per group.
+	answered []int
+	measured []int
+	intent   []*metrics.Histogram
+}
+
+// RunLoad drives one load run and waits for the target to drain and
+// converge.
+func RunLoad(o LoadOptions) (*LoadResult, error) {
+	if o.Rate < 0 {
+		return nil, fmt.Errorf("load: rate must not be negative (got %v)", o.Rate)
+	}
+	o = o.withDefaults()
+	t := o.Target
+	if t == nil {
+		w, err := dialWire(o)
+		if err != nil {
+			return nil, err
+		}
+		defer w.close()
+		t = w
+	}
+	if o.Draw == nil {
+		o.Draw = fig1Draw(o.Workload, t.Groups() > 1)
+	}
+	n := t.Groups()
+	e := &engine{
+		o: o, t: t, want: -1, idle: make(chan struct{}),
+		res: &LoadResult{
+			Offered: o.Rate,
+			Intent:  &metrics.Histogram{},
+			Service: &metrics.Histogram{},
+		},
+		routed:   make([]uint64, n),
+		answered: make([]int, n),
+		measured: make([]int, n),
+		intent:   make([]*metrics.Histogram, n),
+	}
+	for g := range e.intent {
+		e.intent[g] = &metrics.Histogram{}
+	}
+	e.start = time.Now()
+	// One deadline bounds both the drain and the convergence wait.
+	var drainBy time.Time
+	if o.Rate > 0 {
+		e.from = e.start.Add(max(o.Warmup, 0))
+		e.to = e.from.Add(o.Duration)
+		e.pump()
+		drainBy = time.Now().Add(o.SettleTimeout)
+	} else {
+		e.from = e.start
+		e.to = e.start.Add(o.Timeout)
+		e.closedLoop()
+		drainBy = e.to
+	}
+	res := e.drain(drainBy)
+	if res.Timeouts > 0 {
+		return res, fmt.Errorf("load: %d requests unanswered at the drain deadline (servers unreachable or stalled)", res.Timeouts)
+	}
+
+	sums, err := t.Settle(e.answered, drainBy)
+	res.Imbalance = shard.ImbalanceRatio(e.routed)
+	res.Converged = true
+	window := o.Duration
+	if o.Rate == 0 {
+		window = res.Elapsed
+	}
+	for g := range sums {
+		sums[g].Routed = e.routed[g]
+		sums[g].Achieved = float64(e.measured[g]) / window.Seconds()
+		sums[g].Intent = e.intent[g]
+		if !sums[g].Converged {
+			res.Converged = false
+		}
+	}
+	res.PerShard = sums
+	if len(sums) == 1 {
+		res.Statuses, res.Hashes = sums[0].Statuses, sums[0].Hashes
+	}
+	return res, err
+}
+
+// closedLoop starts Clients workers, each issuing RequestsPerClient
+// requests — one at a time with the no-sequencer retry rule, or as one
+// pipelined batch.
+func (e *engine) closedLoop() {
+	o := e.o
+	e.want = o.Clients * o.RequestsPerClient
+	root := ids.NewRNG(o.Seed)
+	for slot := 0; slot < o.Clients; slot++ {
+		rng := root.Fork()
+		go func(slot int) {
+			if o.Pipelined {
+				reqs := make([]Request, o.RequestsPerClient)
+				intents := make([]time.Time, len(reqs))
+				for i := range reqs {
+					reqs[i] = o.Draw(rng)
+					intents[i] = time.Now()
+				}
+				e.issue(reqs, intents, func() int { return slot })
+				return
+			}
+			for k := 0; k < o.RequestsPerClient; k++ {
+				req := o.Draw(rng)
+				g := e.t.Route(req.Key)
+				if !e.count(g, 1) {
+					return
+				}
+				intent := time.Now()
+				_, svc, retries, err := invokeWithRetry(o.Logf, e.to, func() (lang.Value, time.Duration, error) {
+					return e.t.Submit(g, slot, []Request{req})[0].Wait()
+				})
+				e.record(g, intent, svc, retries, err)
+			}
+		}(slot)
+	}
+}
+
+// pump walks the open loop's intent schedule, sleeping ahead of the next
+// arrival and offering everything that is due at each wakeup. A burst
+// cap bounds single-frame size in batch mode.
+func (e *engine) pump() {
+	o := e.o
+	rng := ids.NewRNG(o.Seed)
+	arrivals := rng.Fork()
+	interval := time.Duration(float64(time.Second) / o.Rate)
+	nextGap := func() time.Duration {
+		if !o.Poisson {
+			return interval
+		}
+		// Exponential with mean `interval`; clamp the (measure-zero)
+		// log(0) draw.
+		u := arrivals.Float64()
+		if u <= 0 {
+			u = math.SmallestNonzeroFloat64
+		}
+		return time.Duration(-math.Log(u) * float64(interval))
+	}
+	// Non-batch mode rotates the pool per arrival, batch mode once per
+	// (wakeup, group).
+	next := 0
+	rotate := func() int {
+		slot := next % o.Clients
+		next++
+		return slot
+	}
+	const burstCap = 256
+	shed := 0
+	var due []time.Time
+	intent := e.start
+	for intent.Before(e.to) {
+		if gap := time.Until(intent); gap > 0 {
+			time.Sleep(gap)
+		}
+		due = append(due[:0], intent)
+		intent = intent.Add(nextGap())
+		now := time.Now()
+		for len(due) < burstCap && intent.Before(e.to) && !intent.After(now) {
+			due = append(due, intent)
+			intent = intent.Add(nextGap())
+		}
+		// Shedding: admit arrivals while in-flight is under the cap and
+		// shed the rest of the burst undrawn.
+		if room := o.MaxInFlight - int(e.inFlight.Load()); room < len(due) {
+			room = max(room, 0)
+			shed += len(due) - room
+			due = due[:room]
+		}
+		if o.BatchSubmit {
+			reqs := make([]Request, len(due))
+			for i := range reqs {
+				reqs[i] = o.Draw(rng)
+			}
+			e.issue(reqs, due, rotate)
+			continue
+		}
+		for _, it := range due {
+			e.issue([]Request{o.Draw(rng)}, []time.Time{it}, rotate)
+		}
+	}
+	e.mu.Lock()
+	e.res.Shed = shed
+	e.want = e.res.Sent
+	if e.res.Requests == e.want {
+		close(e.idle)
+	}
+	e.mu.Unlock()
+}
+
+// issue routes reqs and submits them as one unit per group, ascending,
+// through the client slot() picks for each group; one waiter per reply
+// records it.
+func (e *engine) issue(reqs []Request, intents []time.Time, slot func() int) {
+	byGroup := make([][]int, e.t.Groups())
+	for i, r := range reqs {
+		g := e.t.Route(r.Key)
+		byGroup[g] = append(byGroup[g], i)
+	}
+	for g, idx := range byGroup {
+		if len(idx) == 0 {
+			continue
+		}
+		batch := make([]Request, len(idx))
+		for j, i := range idx {
+			batch[j] = reqs[i]
+		}
+		if !e.count(g, len(batch)) {
+			return
+		}
+		for j, p := range e.t.Submit(g, slot(), batch) {
+			go func(p Pending, intent time.Time) {
+				_, svc, err := p.Wait()
+				e.record(g, intent, svc, 0, err)
+			}(p, intents[idx[j]])
+		}
+	}
+}
+
+// count books n requests about to be submitted to group g; false once
+// the run is drained (a stalled closed-loop client must then stop).
+func (e *engine) count(g, n int) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return false
+	}
+	e.inFlight.Add(int64(n))
+	e.res.Sent += n
+	e.routed[g] += uint64(n)
+	return true
+}
+
+// record resolves one request. Only answered requests whose intent lies
+// inside the measured window reach the histograms.
+func (e *engine) record(g int, intent time.Time, svc time.Duration, retries int, err error) {
+	replyAt := time.Now()
+	e.inFlight.Add(-1)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return
+	}
+	r := e.res
+	r.Requests++
+	r.Retries += retries
+	switch {
+	case err == nil:
+		e.answered[g]++
+		if !intent.Before(e.from) && intent.Before(e.to) {
+			r.Measured++
+			e.measured[g]++
+			r.Service.Add(svc)
+			r.Intent.Add(replyAt.Sub(intent))
+			e.intent[g].Add(replyAt.Sub(intent))
+		}
+	case isNoSequencer(err):
+		r.NoSeqErr++
+	default:
+		r.Errors++
+		if e.o.Logf != nil {
+			e.o.Logf("load: %v", err)
+		}
+	}
+	if r.Requests == e.want {
+		close(e.idle)
+	}
+}
+
+// drain waits until every request resolved or the deadline passed, then
+// closes the books: stragglers become Timeouts and can no longer record.
+func (e *engine) drain(by time.Time) *LoadResult {
+	select {
+	case <-e.idle:
+	case <-time.After(time.Until(by)):
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.closed = true
+	r := e.res
+	r.Elapsed = time.Since(e.start)
+	r.Timeouts = e.want - r.Requests
+	window := e.o.Duration
+	if e.o.Rate == 0 {
+		window = r.Elapsed
+	}
+	r.Achieved = float64(r.Measured) / window.Seconds()
+	r.SLOMet = e.o.SLO <= 0 || r.Intent.Percentile(99) <= e.o.SLO
+	return r
+}
+
+// invokeWithRetry retries an invocation that failed fast on
+// gcs.ErrNoSequencer — a sequencer election in flight. The failed
+// request never entered the total order (the client acks and forgets
+// it), so the retry is a brand-new request, not a duplicate; counting
+// the election window as a client-visible error would make every
+// failover smear errors over a load run that actually survived it.
+// Backoff is capped, and the deadline bounds the whole loop. The retry
+// count is returned so the summary can report how often the election
+// window was hit instead of folding it silently into the latency
+// histograms.
+func invokeWithRetry(logf func(string, ...interface{}), deadline time.Time,
+	invoke func() (lang.Value, time.Duration, error)) (lang.Value, time.Duration, int, error) {
+	backoff := 25 * time.Millisecond
+	retries := 0
+	for {
+		v, lat, err := invoke()
+		if err == nil || !isNoSequencer(err) || time.Now().After(deadline) {
+			return v, lat, retries, err
+		}
+		retries++
+		if logf != nil {
+			logf("load: no sequencer (election in flight), retrying in %v", backoff)
+		}
+		time.Sleep(backoff)
+		if backoff *= 2; backoff > time.Second {
+			backoff = time.Second
+		}
+	}
+}
+
+// CeilingStep records one rung of the ceiling search.
+type CeilingStep struct {
+	Offered   float64
+	Achieved  float64
+	P50       time.Duration
+	P99       time.Duration
+	Shed      int
+	Timeouts  int
+	Sustained bool // see sustained
+}
+
+// CeilingResult is the outcome of FindCeiling: the rate ladder walked
+// and the highest offered rate the target sustained within the SLO.
+type CeilingResult struct {
+	Steps   []CeilingStep
+	Ceiling float64
+	// Imbalance is the routed-count imbalance ratio at the last
+	// sustained step (visibility into ring skew at the ceiling).
+	Imbalance float64
+}
+
+// sustained is the one test a ceiling step passes: the run returned no
+// error, met the SLO, achieved at least 90% of the offered rate, left
+// nothing unanswered, failed no request, and every group converged.
+func sustained(r *LoadResult, err error) bool {
+	return err == nil && r.SLOMet && r.Achieved >= 0.9*r.Offered &&
+		r.Timeouts == 0 && r.Errors == 0 && r.NoSeqErr == 0 && r.Converged
+}
+
+// FindCeiling walks the offered open-loop rate geometrically (times
+// growth per step, default 2) from startRate (default 100) until the
+// target stops sustaining it (default SLO: p99 100ms) or maxSteps
+// (default 8) runs out. Each step uses a fresh client-id range:
+// replica-side duplicate suppression keys on (client, counter), so
+// reusing ids across runs would suppress requests.
+func FindCeiling(o LoadOptions, startRate, growth float64, maxSteps int) (*CeilingResult, error) {
+	if startRate <= 0 {
+		startRate = 100
+	}
+	if growth <= 1 {
+		growth = 2
+	}
+	if maxSteps <= 0 {
+		maxSteps = 8
+	}
+	if o.SLO <= 0 {
+		o.SLO = 100 * time.Millisecond
+	}
+	o.Rate = startRate
+	o = o.withDefaults()
+	res := &CeilingResult{}
+	rate := startRate
+	for step := 0; step < maxSteps; step++ {
+		ro := o
+		ro.Rate = rate
+		ro.ClientBase = o.ClientBase + step*o.Clients
+		if o.Logf != nil {
+			o.Logf("ceiling: step %d offered %.0f req/s", step, rate)
+		}
+		r, err := RunLoad(ro)
+		if r == nil {
+			return res, err
+		}
+		st := CeilingStep{
+			Offered:   r.Offered,
+			Achieved:  r.Achieved,
+			P50:       r.Intent.Percentile(50),
+			P99:       r.Intent.Percentile(99),
+			Shed:      r.Shed,
+			Timeouts:  r.Timeouts,
+			Sustained: sustained(r, err),
+		}
+		res.Steps = append(res.Steps, st)
+		if o.Logf != nil {
+			o.Logf("ceiling: step %d achieved %.0f req/s p99=%v imbalance=%.2f sustained=%v",
+				step, st.Achieved, st.P99, r.Imbalance, st.Sustained)
+		}
+		if !st.Sustained {
+			break
+		}
+		res.Ceiling = st.Achieved
+		res.Imbalance = r.Imbalance
+		rate *= growth
+	}
+	return res, nil
 }
 
 // loadEpochLast floors the epoch within one process: even if the
@@ -153,207 +766,6 @@ func nextLoadEpoch(dir, name string) uint64 {
 		f.Sync()
 	}
 	return next
-}
-
-// RunLoad drives one closed-loop measurement run and waits for the
-// cluster to converge (every replica reporting all requests completed).
-func RunLoad(o LoadOptions) (*LoadResult, error) {
-	if len(o.Servers) == 0 {
-		return nil, fmt.Errorf("load: no servers given")
-	}
-	if o.Clients <= 0 {
-		o.Clients = 1
-	}
-	if o.RequestsPerClient <= 0 {
-		o.RequestsPerClient = 1
-	}
-	if o.Workload.Iterations == 0 {
-		o.Workload = workload.DefaultFig1()
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Minute
-	}
-	if o.Families != nil && o.Pipelined {
-		return nil, fmt.Errorf("load: -pipelined batches a single method and cannot drive the family workload")
-	}
-	deadline := time.Now().Add(o.Timeout)
-
-	epoch := nextLoadEpoch(o.EpochDir, "load")
-	tr, err := wire.NewTCP(wire.Options{Name: "load", Epoch: epoch, Peers: o.Servers, Dial: o.Dial, Logf: o.Logf})
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-
-	members := make([]ids.ReplicaID, 0, len(o.Servers))
-	for id := range o.Servers {
-		members = append(members, id)
-	}
-	clock := vclock.NewReal()
-	g := gcs.NewGroup(gcs.Config{
-		Clock:     clock,
-		Members:   members,
-		Transport: tr,
-		Local:     []ids.ReplicaID{}, // client-only process: no replicas here
-		Logf:      o.Logf,
-	})
-
-	// The generator process hosts no replicas, so it receives no stamped
-	// heartbeats and cannot detect a sequencer takeover on its own. Poll
-	// the members' status instead and install any newer view — AdoptView
-	// re-routes and retransmits every pending request to the new
-	// sequencer, so in-flight invocations survive the failover.
-	stopPoll := startViewPoller(tr, g, o.Servers, o.Logf)
-	defer stopPoll()
-
-	res := &LoadResult{Latency: &metrics.Sample{}}
-	var mu sync.Mutex
-	start := time.Now()
-	grp := vclock.NewGroup(clock)
-	rootRNG := ids.NewRNG(o.Seed)
-	for ci := 0; ci < o.Clients; ci++ {
-		cl := replica.NewClient(clock, g, ids.ClientID(o.ClientBase+ci+1))
-		rng := rootRNG.Fork()
-		grp.Go(func() {
-			if o.Pipelined {
-				runPipelined(cl, o, rng, res, &mu)
-				return
-			}
-			for k := 0; k < o.RequestsPerClient; k++ {
-				method, args := workload.MethodName, workload.Fig1Args(o.Workload, rng)
-				if o.Families != nil {
-					method, args = workload.FamilyArgs(*o.Families, rng)
-				}
-				_, lat, retries, err := invokeWithRetry(cl, o, deadline, method, args)
-				mu.Lock()
-				res.Requests++
-				res.Retries += retries
-				if err != nil {
-					res.Errors++
-				} else {
-					res.Latency.Add(lat)
-				}
-				mu.Unlock()
-			}
-		})
-	}
-	invoked := make(chan struct{})
-	go func() {
-		grp.Wait()
-		close(invoked)
-	}()
-	select {
-	case <-invoked:
-	case <-time.After(time.Until(deadline)):
-		// Clients are still parked waiting for replies that will never
-		// arrive (e.g. every server unreachable). Snapshot the counters —
-		// the stuck goroutines keep the shared result until process exit.
-		mu.Lock()
-		lat := &metrics.Sample{}
-		lat.Merge(res.Latency)
-		out := &LoadResult{
-			Latency: lat, Requests: res.Requests, Errors: res.Errors,
-			Retries:  res.Retries,
-			Timeouts: o.Clients*o.RequestsPerClient - res.Requests,
-			Elapsed:  time.Since(start),
-		}
-		mu.Unlock()
-		return out, fmt.Errorf("load: requests did not complete within %v (servers unreachable or stalled)", o.Timeout)
-	}
-	res.Elapsed = time.Since(start)
-
-	// Wait for every replica to converge on the full request count, then
-	// compare their schedule hashes.
-	expected := o.Clients * o.RequestsPerClient
-	settleBy := deadline
-	if o.SettleTimeout > 0 {
-		settleBy = time.Now().Add(o.SettleTimeout)
-	}
-	for {
-		statuses, err := pollStatuses(tr, o.Servers)
-		if err == nil {
-			// Every replica must reach the expected count AND agree on it:
-			// against a warm cluster the counters are cumulative, so a
-			// replica still applying the tail can satisfy the lower bound
-			// while lagging its peers.
-			done := true
-			for _, st := range statuses {
-				if st.Completed < expected || st.Completed != statuses[0].Completed {
-					done = false
-				}
-			}
-			if done {
-				res.Statuses = statuses
-				break
-			}
-		}
-		if time.Now().After(settleBy) {
-			if err != nil {
-				return res, fmt.Errorf("load: cluster did not converge: %v", err)
-			}
-			res.Statuses, _ = pollStatuses(tr, o.Servers)
-			return res, fmt.Errorf("load: cluster did not reach %d completed requests within the timeout", expected)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	res.Converged = true
-	for _, st := range res.Statuses {
-		res.Hashes = append(res.Hashes, st.Hash)
-		if st.Hash != res.Statuses[0].Hash || st.Completed != res.Statuses[0].Completed {
-			res.Converged = false
-		}
-	}
-	return res, nil
-}
-
-// invokeWithRetry retries an invocation that failed fast on
-// gcs.ErrNoSequencer — a sequencer election in flight. The failed
-// request never entered the total order (Invoke acks and forgets it),
-// so the retry is a brand-new request, not a duplicate; counting the
-// election window as a client-visible error would make every failover
-// smear errors over a load run that actually survived it. Backoff is
-// capped, and the run deadline bounds the whole loop. The retry count
-// is returned so the summary can report how often the election window
-// was hit instead of folding it silently into the latency sample.
-func invokeWithRetry(cl *replica.Client, o LoadOptions, deadline time.Time,
-	method string, args []lang.Value) (lang.Value, time.Duration, int, error) {
-	backoff := 25 * time.Millisecond
-	retries := 0
-	for {
-		v, lat, err := cl.Invoke(method, args...)
-		if err == nil || !errors.Is(err, gcs.ErrNoSequencer) || time.Now().After(deadline) {
-			return v, lat, retries, err
-		}
-		retries++
-		if o.Logf != nil {
-			o.Logf("load: no sequencer (election in flight), retrying in %v", backoff)
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
-		}
-	}
-}
-
-// runPipelined issues one client's requests as a single atomic batch.
-func runPipelined(cl *replica.Client, o LoadOptions, rng *ids.RNG, res *LoadResult, mu *sync.Mutex) {
-	argsList := make([][]lang.Value, o.RequestsPerClient)
-	for k := range argsList {
-		argsList[k] = workload.Fig1Args(o.Workload, rng)
-	}
-	pend := cl.Pipeline(workload.MethodName, argsList)
-	for _, p := range pend {
-		_, lat, err := p.Wait()
-		mu.Lock()
-		res.Requests++
-		if err != nil {
-			res.Errors++
-		} else {
-			res.Latency.Add(lat)
-		}
-		mu.Unlock()
-	}
 }
 
 // pollStatuses queries every server's control endpoint.

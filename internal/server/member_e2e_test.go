@@ -8,6 +8,7 @@ import (
 
 	"detmt/internal/gcs"
 	"detmt/internal/ids"
+	"detmt/internal/lang"
 	"detmt/internal/member"
 	"detmt/internal/replica"
 	"detmt/internal/vclock"
@@ -112,7 +113,9 @@ func startKVLoad(t *testing.T, servers map[ids.ReplicaID]string, seed uint64) *b
 			default:
 			}
 			_, method, args := workload.KVRequest(rng, 32, 0.4)
-			_, _, _, err := invokeWithRetry(cl, LoadOptions{Logf: debugLogf}, deadline, method, args)
+			_, _, _, err := invokeWithRetry(debugLogf, deadline, func() (lang.Value, time.Duration, error) {
+				return cl.Invoke(method, args...)
+			})
 			l.mu.Lock()
 			l.sent++
 			if err != nil {
@@ -474,7 +477,9 @@ func startKVLoadFig1(t *testing.T, servers map[ids.ReplicaID]string, seed uint64
 			default:
 			}
 			args := workload.Fig1Args(wl, rng)
-			_, _, _, err := invokeWithRetry(cl, LoadOptions{Logf: debugLogf}, deadline, workload.MethodName, args)
+			_, _, _, err := invokeWithRetry(debugLogf, deadline, func() (lang.Value, time.Duration, error) {
+				return cl.Invoke(workload.MethodName, args...)
+			})
 			l.mu.Lock()
 			l.sent++
 			if err != nil {

@@ -59,12 +59,12 @@ func startClusterOpts(t *testing.T, n int, kind replica.SchedulerKind, mod func(
 // runOpenLoad drives one open-loop run against a fresh cluster and
 // asserts the shared invariants: no request errors, full convergence,
 // and a non-empty measured window.
-func runOpenLoad(t *testing.T, mod func(*Options), o OpenLoadOptions) *OpenLoadResult {
+func runOpenLoad(t *testing.T, mod func(*Options), o LoadOptions) *LoadResult {
 	t.Helper()
 	_, addrs := startClusterOpts(t, 3, replica.KindMAT, mod)
 	o.Servers = addrs
 	o.Workload = testWorkload()
-	res, err := RunOpenLoad(o)
+	res, err := RunLoad(o)
 	if err != nil {
 		t.Fatalf("open-loop run: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestOpenLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	res := runOpenLoad(t, nil, OpenLoadOptions{
+	res := runOpenLoad(t, nil, LoadOptions{
 		Rate:     150,
 		Duration: 2 * time.Second,
 		Warmup:   500 * time.Millisecond,
@@ -122,7 +122,7 @@ func TestOpenLoadAdaptiveTickPoissonBatch(t *testing.T) {
 	runOpenLoad(t, func(o *Options) {
 		o.AdaptiveTick = true
 		o.BatchThreshold = 8
-	}, OpenLoadOptions{
+	}, LoadOptions{
 		Rate:        300,
 		Duration:    2 * time.Second,
 		Warmup:      500 * time.Millisecond,

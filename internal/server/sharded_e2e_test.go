@@ -125,8 +125,8 @@ func TestShardedMultiSmoke(t *testing.T) {
 		t.Fatalf("fetched ring hash %016x != server ring hash %016x", fh, mh)
 	}
 
-	res, err := RunShardedLoad(ShardedLoadOptions{
-		Ring:              fetched,
+	res, err := RunLoad(LoadOptions{
+		Ring:              &fetched,
 		Clients:           2,
 		RequestsPerClient: 6,
 		Seed:              17,
@@ -248,8 +248,9 @@ func TestShardedClusterHashIdentity(t *testing.T) {
 		t.Fatalf("members disagree on the ring: %v", err)
 	}
 
-	res, err := RunShardedLoad(ShardedLoadOptions{
-		Ring:              m1.Ring(),
+	ring := m1.Ring()
+	res, err := RunLoad(LoadOptions{
+		Ring:              &ring,
 		Clients:           2,
 		RequestsPerClient: 5,
 		Seed:              23,

@@ -56,8 +56,9 @@ func TestCleanShutdownNoBreakerTrips(t *testing.T) {
 	loadDone := make(chan struct{})
 	go func() {
 		defer close(loadDone)
-		RunShardedLoad(ShardedLoadOptions{
-			Ring:              m.Ring(),
+		ring := m.Ring()
+		RunLoad(LoadOptions{
+			Ring:              &ring,
 			Clients:           4,
 			RequestsPerClient: 200,
 			Seed:              99,

@@ -233,15 +233,18 @@ func NewTCP(o Options) (*TCP, error) {
 		}
 		t.ln = ln
 	}
-	if t.ln != nil {
-		t.wg.Add(1)
-		go t.acceptLoop()
-	}
 	for id, addr := range o.Peers {
 		pl := newPeerLink(t, id, addr)
 		t.peers[id] = pl
 		t.wg.Add(1)
 		go pl.run()
+	}
+	// Accept only once the peer links exist: inbound handshakes read
+	// t.peers (to kick a backed-off link), so filling it afterwards would
+	// race with them.
+	if t.ln != nil {
+		t.wg.Add(1)
+		go t.acceptLoop()
 	}
 	if o.OriginIdleExpiry > 0 {
 		t.wg.Add(1)

@@ -3,7 +3,8 @@
 # build + vet + race-enabled tests (same as `make check`).
 #
 #   scripts/check.sh          full gate (includes real-socket cluster tests
-#                             and the sharded-binary smoke)
+#                             and the sharded and gateway binary smokes,
+#                             which drive every detmt-load target)
 #   scripts/check.sh -short   what CI runs: skips the loopback-TCP tests
 #                             and the sharded-binary smoke
 #   scripts/check.sh -bench   full gate + the throughput regression gates
@@ -67,6 +68,14 @@ if [ -z "$short" ]; then
 		cat "$tmpdir/server.log" >&2
 		exit 1
 	fi
+	# The same ring, open loop: a second generator incarnation, so a
+	# disjoint client range.
+	if ! "$tmpdir/detmt-load" -shards -servers 1=127.0.0.1:7461 -rate 200 -duration 1s \
+		-client-base 10; then
+		echo "check.sh: sharded open-loop smoke FAILED; server log:" >&2
+		cat "$tmpdir/server.log" >&2
+		exit 1
+	fi
 	kill "$srv" 2>/dev/null || true
 	wait "$srv" 2>/dev/null || true
 	rm -rf "$tmpdir"
@@ -78,6 +87,7 @@ if [ -z "$short" ]; then
 	tmpdir="$(mktemp -d)"
 	go build -o "$tmpdir/detmt-server" ./cmd/detmt-server
 	go build -o "$tmpdir/detmt-gateway" ./cmd/detmt-gateway
+	go build -o "$tmpdir/detmt-load" ./cmd/detmt-load
 	"$tmpdir/detmt-server" -id 1 -listen 127.0.0.1:7471 -shards 2 -kv \
 		-data "$tmpdir/epochs" >"$tmpdir/server.log" 2>&1 &
 	srv=$!
@@ -97,6 +107,12 @@ if [ -z "$short" ]; then
 	got="$(curl -fsS http://127.0.0.1:7479/kv/7 2>/dev/null || true)"
 	if [ -z "$ok" ] || [ "${got#*\"value\":41}" = "$got" ]; then
 		echo "check.sh: gateway smoke FAILED (healthz=$ok put=$put get=$got); logs:" >&2
+		cat "$tmpdir/server.log" "$tmpdir/gateway.log" >&2
+		exit 1
+	fi
+	# Closed-loop KV load through the facade; any failed request fails it.
+	if ! "$tmpdir/detmt-load" -http http://127.0.0.1:7479 -clients 2 -requests 5; then
+		echo "check.sh: gateway load smoke FAILED; logs:" >&2
 		cat "$tmpdir/server.log" "$tmpdir/gateway.log" >&2
 		exit 1
 	fi

@@ -24,8 +24,8 @@ type Server = server.Server
 // virtual schedule identical.
 func NewServer(o ServerOptions) (*Server, error) { return server.New(o) }
 
-// LoadOptions configures a closed-loop load run against a server
-// cluster.
+// LoadOptions configures a load run against a server cluster: closed
+// loop, or open loop when Rate is set.
 type LoadOptions = server.LoadOptions
 
 // LoadResult is the outcome of one load run, including the per-replica
@@ -36,8 +36,8 @@ type LoadResult = server.LoadResult
 type ServerStatus = server.Status
 
 // RunLoad drives the Fig. 1 measurement protocol over real sockets:
-// closed-loop clients, first-reply-wins latency, and a final
-// convergence check across all replicas.
+// clients drawing every random choice, first-reply-wins latency, and a
+// final convergence check across all replicas.
 func RunLoad(o LoadOptions) (*LoadResult, error) { return server.RunLoad(o) }
 
 // ReplicaID is a group member identity (used in ServerOptions.Peers and
