@@ -63,17 +63,10 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive backend failures that trip the circuit breaker (0: 5, negative: never)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before probing the backend again (0: 2s)")
 	catchNested := flag.Bool("catch-nested", false, "workload catches failed nested calls (iserr) instead of aborting the request")
-	tick := flag.Duration("tick", 2*time.Millisecond, "sequencing tick interval (virtual = wall)")
+	tick := flag.Duration("tick", 2*time.Millisecond, "nominal sequencing tick (virtual = wall); shrinks toward tick/4 while saturated, stretches toward 4*tick while idle")
 	budget := flag.Duration("budget", 5*time.Millisecond, "delivery-deadline budget per sequenced message")
-	adaptiveTick := flag.Bool("adaptive-tick", false,
-		"load-responsive tick sizing: drain early when the forward queue crosses -batch-threshold, stretch toward -max-tick when idle")
-	minTick := flag.Duration("min-tick", 0, "adaptive tick floor (0: tick/4)")
-	maxTick := flag.Duration("max-tick", 0, "adaptive idle-tick ceiling (0: 4*tick)")
-	batchThreshold := flag.Int("batch-threshold", 0, "queued forwards that trigger an early adaptive drain (0: 64)")
-	noGroupCommit := flag.Bool("no-group-commit", false,
-		"disable group commit: one wire frame per sequenced envelope instead of one per tick (measurement baseline)")
-	pipelineDepth := flag.Int("pipeline-depth", 0,
-		"per-sender decode pipeline depth decoupling frame decode from apply (0: default 512, negative: inline decode)")
+	flag.Bool("adaptive-tick", true,
+		"no-op, kept for existing scripts: the load-responsive tick is always on")
 	pdsWindow := flag.Int("pds-window", 4, "PDS pool size")
 	pdsRelaxed := flag.Bool("pds-relaxed", false, "relax the PDS full-pool barrier")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "broadcast a state checkpoint every N requests (0: never)")
@@ -201,12 +194,6 @@ func main() {
 		BreakerCooldown:  *breakerCooldown,
 		Tick:             *tick,
 		Budget:           *budget,
-		AdaptiveTick:     *adaptiveTick,
-		MinTick:          *minTick,
-		MaxTick:          *maxTick,
-		BatchThreshold:   *batchThreshold,
-		NoGroupCommit:    *noGroupCommit,
-		PipelineDepth:    *pipelineDepth,
 		PDSWindow:        *pdsWindow,
 		PDSRelaxed:       *pdsRelaxed,
 		CheckpointEvery:  *checkpointEvery,

@@ -36,6 +36,7 @@ type ClassPDS struct {
 
 	lanes    map[uint32]*pdsLane
 	laneKeys []uint32 // sorted; lanes are always swept in this order
+	closing  bool     // a settled barrier close is pending
 
 	escalations     uint64
 	mergeStalls     uint64
@@ -265,28 +266,52 @@ func (s *ClassPDS) sweep() {
 // threads have smaller bar-sets; the oldest's is empty) and exit, which
 // is exactly what clears the gate. With W = 1 a lane has no other
 // members, so the serial-equivalent configuration is unaffected.
+//
+// As in PDS, the close is a settled decision (Runtime.Settle), so a
+// lane's round counts every same-instant admission; one pending close
+// sweeps all ready lanes in sorted class order.
 func (s *ClassPDS) tryBarrier(l *pdsLane) {
-	if len(l.members) == 0 {
+	if s.closing || !s.barrierReady(l) {
 		return
+	}
+	s.closing = true
+	s.rt.Settle(s.closeBarriers)
+}
+
+func (s *ClassPDS) closeBarriers() {
+	s.closing = false
+	for _, c := range s.laneKeys {
+		l := s.lanes[c]
+		if !s.barrierReady(l) {
+			continue
+		}
+		l.round++
+		s.rt.RecordBarrier(l.members[0], l.round)
+		for _, t := range l.members {
+			pdsOf(t).eligible = true
+		}
+		s.grantEligible(l)
+	}
+}
+
+// barrierReady reports whether the lane's round may close now.
+func (s *ClassPDS) barrierReady(l *pdsLane) bool {
+	if len(l.members) == 0 {
+		return false
 	}
 	for _, t := range l.members {
 		st := pdsOf(t)
 		if st.phase != pdsArrived {
-			return // someone still running or in a critical section
+			return false // someone still running or in a critical section
 		}
 		if st.eligible {
 			if st.need != nil && st.need.Free() && !s.gateAdmits(t) {
 				continue // gate-stuck: the merge barrier owns this wait
 			}
-			return // stuck on a held mutex
+			return false // stuck on a held mutex
 		}
 	}
-	l.round++
-	s.rt.RecordBarrier(l.members[0], l.round)
-	for _, t := range l.members {
-		pdsOf(t).eligible = true
-	}
-	s.grantEligible(l)
+	return true
 }
 
 // grantEligible grants free mutexes to the lane's gate-admissible

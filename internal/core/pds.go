@@ -40,6 +40,7 @@ type PDS struct {
 	members      []*Thread // started, alive, unsuspended; admission order
 	waitingStart []*Thread // admitted beyond W, waiting for a pool slot
 	round        int64
+	closing      bool // a settled barrier close is pending
 }
 
 // NewPDS returns a PDS scheduler with pool size w.
@@ -188,21 +189,26 @@ func (s *PDS) refill() {
 // tryBarrier closes the round when every member has arrived, no critical
 // section is open, and no eligible arrival is still waiting. All current
 // arrivals become eligible and are granted in admission order.
+//
+// The close is a settled decision (Runtime.Settle): threads started
+// earlier in an instant can reach their first lock before the same
+// instant's later admissions (a same-stamp batch, a body submitting
+// several requests) have joined the pool, so a barrier closed inline
+// would count a member set that depends on goroutine timing. Settled,
+// it counts the pool as admitted, and the rule is re-checked because
+// the pool may have changed in between.
 func (s *PDS) tryBarrier() {
-	if len(s.members) == 0 {
+	if s.closing || !s.barrierReady() {
 		return
 	}
-	if s.RequireFullPool && len(s.members) < s.W {
+	s.closing = true
+	s.rt.Settle(s.closeBarrier)
+}
+
+func (s *PDS) closeBarrier() {
+	s.closing = false
+	if !s.barrierReady() {
 		return
-	}
-	for _, t := range s.members {
-		st := pdsOf(t)
-		if st.phase != pdsArrived {
-			return // someone still running or in a critical section
-		}
-		if st.eligible {
-			return // an eligible arrival is stuck on a held mutex
-		}
 	}
 	s.round++
 	s.rt.RecordBarrier(s.members[0], s.round)
@@ -211,6 +217,26 @@ func (s *PDS) tryBarrier() {
 		st.eligible = true
 	}
 	s.grantEligible()
+}
+
+// barrierReady reports whether the round may close now.
+func (s *PDS) barrierReady() bool {
+	if len(s.members) == 0 {
+		return false
+	}
+	if s.RequireFullPool && len(s.members) < s.W {
+		return false
+	}
+	for _, t := range s.members {
+		st := pdsOf(t)
+		if st.phase != pdsArrived {
+			return false // someone still running or in a critical section
+		}
+		if st.eligible {
+			return false // an eligible arrival is stuck on a held mutex
+		}
+	}
+	return true
 }
 
 // grantEligible grants free mutexes to eligible arrivals in admission

@@ -5,13 +5,14 @@ import (
 	"sync"
 	"time"
 
+	"detmt/internal/ids"
 	"detmt/internal/vclock"
 )
 
 // The event pump delivers all scheduler events that do not originate from
-// a managed thread's own call — condition-wait timeouts and (simulated)
-// nested-invocation replies — at deterministic instants in a
-// deterministic order.
+// a managed thread's own call — condition-wait timeouts, (simulated)
+// nested-invocation replies and settled scheduler decisions (see
+// Runtime.Settle) — at deterministic instants in a deterministic order.
 //
 // Why it exists: two future events expiring at the same (virtual) instant
 // must be processed in an order that is a pure function of the event set,
@@ -38,6 +39,7 @@ type pumpKind int
 const (
 	pumpNestedResume pumpKind = iota
 	pumpWaitTimeout
+	pumpSettle
 )
 
 type pumpEvent struct {
@@ -46,6 +48,7 @@ type pumpEvent struct {
 	kind   pumpKind
 	mutex  *Mutex
 	reply  interface{}
+	decide func() // pumpSettle: the deferred decision
 	seq    uint64 // final tiebreak: schedule order
 }
 
@@ -109,13 +112,22 @@ func pumpLess(a, b *pumpEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.thread.ID != b.thread.ID {
-		return a.thread.ID < b.thread.ID
+	if ai, bi := a.threadID(), b.threadID(); ai != bi {
+		return ai < bi
 	}
 	if a.kind != b.kind {
 		return a.kind < b.kind
 	}
 	return a.seq < b.seq
+}
+
+// threadID ranks an event among same-instant events; a settled decision
+// carries no thread and ranks first.
+func (e *pumpEvent) threadID() ids.ThreadID {
+	if e.thread == nil {
+		return 0
+	}
+	return e.thread.ID
 }
 
 // pumpHeap is a min-heap of pending events ordered by pumpLess.
@@ -174,6 +186,8 @@ func (p *pump) loop() {
 			p.rt.NestedResume(head.thread, head.reply)
 		case pumpWaitTimeout:
 			p.rt.waitTimeout(head.thread, head.mutex)
+		case pumpSettle:
+			p.rt.enter(nil, head.decide)
 		}
 		p.release(head)
 	}

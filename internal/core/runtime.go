@@ -247,6 +247,17 @@ func (rt *Runtime) RecordBarrier(t *Thread, round int64) {
 	rt.record(t, trace.KindBarrier, ids.NoSync, ids.NoMutex, round)
 }
 
+// Settle runs decide under the decision lock at the current instant, but
+// only once every cascade of that instant has settled: the threads and
+// request deliveries the instant woke have all run to their next block.
+// A decision whose inputs can still grow within the instant — a barrier
+// over the admitted pool, say — taken inline would depend on how far the
+// racing same-instant goroutines had got, not on the admitted set.
+// Decision lock held.
+func (rt *Runtime) Settle(decide func()) {
+	rt.events.schedule(rt.clock.Now(), pumpEvent{kind: pumpSettle, decide: decide})
+}
+
 // Grant hands mutex m to thread t. If t is reacquiring after a condition
 // wait, its saved reentrancy depth is restored; otherwise this is a fresh
 // acquisition under t's in-flight syncid. The mutex must be free.

@@ -115,40 +115,16 @@ type Config struct {
 	// real network delays differ. When stamped sequencing is active the
 	// clock must have pacing enabled (vclock.Virtual.EnablePacing)
 	// before NewGroup is called.
+	//
+	// Tick is the nominal drain interval of a load-responsive policy
+	// (see tickPolicy): the sequencer drains at once when tickBatch
+	// forwards are queued, shrinks the tick while saturated, and stretches
+	// it while idle. Only the sequencer runs the policy — followers obey
+	// the stamps — so it decides how arrivals map to ticks, which is
+	// timing-dependent anyway, never the slot order or the stamp
+	// monotonicity every replica executes.
 	Tick   time.Duration
 	Budget time.Duration
-
-	// AdaptiveTick replaces the fixed Tick drain with a load-responsive
-	// policy: the sequencer drains immediately when the forward queue
-	// reaches BatchThreshold (bounding queueing delay under burst load),
-	// shrinks the tick to MinTick while saturated (amortising stamping
-	// over large batches), and stretches it toward MaxTick when idle
-	// (fewer empty heartbeat multicasts; the first arrival into an empty
-	// queue wakes a stretched tick immediately, so idle stretching never
-	// taxes latency). Stamps stay monotone and only
-	// the sequencer runs the policy — followers obey the stamps — so the
-	// schedule every replica executes is unchanged for a given arrival
-	// order; what changes is how arrivals map to ticks, which is already
-	// timing-dependent under the fixed tick. Off by default: fixed ticks
-	// keep stamp instants at exact Tick multiples, which some
-	// reproducibility harnesses rely on.
-	AdaptiveTick bool
-	// MinTick is the smallest adaptive tick (default Tick/4, floored at
-	// 100µs). MaxTick is the largest (default 4*Tick, capped at
-	// DetectTimeout/4 so horizon heartbeats keep the failure detector
-	// quiet). BatchThreshold is the queue depth that triggers an
-	// immediate drain (default 64).
-	MinTick        time.Duration
-	MaxTick        time.Duration
-	BatchThreshold int
-
-	// NoGroupCommit disables coalescing a tick's sequenced multicasts
-	// (and the trailing horizon) into one multi-envelope frame per
-	// member, reverting to one frame per envelope. Group commit is
-	// order- and stamp-transparent — a tick's envelopes already share
-	// one stamp and deliver in slot order — so this exists only for
-	// before/after measurement and debugging.
-	NoGroupCommit bool
 
 	// FetchGap, when set (stamped mode), fetches up to max sequenced
 	// slots starting at from that this process missed, from the donor
@@ -264,11 +240,12 @@ type Group struct {
 	trafficMu      sync.Mutex
 	lastSeqTraffic time.Time
 
+	ticks      tickPolicy // fixed at NewGroup
 	fwdMu      sync.Mutex
 	fwdQ       []Envelope    // forwards awaiting the next sequencing tick
-	tickParker vclock.Parker // wakes runTicks early (adaptive mode); set once by runTicks
+	tickParker vclock.Parker // wakes runTicks early; set once by runTicks
 	tickKick   atomic.Bool   // an early wake is pending (dedupes Unpark calls per tick)
-	tickCur    atomic.Int64  // current adaptive park duration (ns); runTicks writes, forwards read
+	tickCur    atomic.Int64  // current park duration (ns); runTicks writes, forwards read
 
 	recMu      sync.Mutex
 	recovering bool
@@ -301,29 +278,6 @@ func NewGroup(cfg Config) *Group {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 5 * time.Millisecond
 	}
-	if cfg.BatchThreshold <= 0 {
-		cfg.BatchThreshold = 64
-	}
-	if cfg.AdaptiveTick {
-		if cfg.MinTick <= 0 {
-			cfg.MinTick = cfg.Tick / 4
-		}
-		if cfg.MinTick < 100*time.Microsecond {
-			cfg.MinTick = 100 * time.Microsecond
-		}
-		if cfg.MinTick > cfg.Tick {
-			cfg.MinTick = cfg.Tick
-		}
-		if cfg.MaxTick <= 0 {
-			cfg.MaxTick = 4 * cfg.Tick
-		}
-		if cfg.MaxTick > cfg.DetectTimeout/4 {
-			cfg.MaxTick = cfg.DetectTimeout / 4
-		}
-		if cfg.MaxTick < cfg.Tick {
-			cfg.MaxTick = cfg.Tick
-		}
-	}
 	members := append([]ids.ReplicaID(nil), cfg.Members...)
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	cfg.Members = members
@@ -340,6 +294,7 @@ func NewGroup(cfg Config) *Group {
 		crashedAt: map[ids.ReplicaID]time.Duration{},
 		members:   members,
 		learners:  map[ids.ReplicaID]bool{},
+		ticks:     newTickPolicy(cfg.Tick, cfg.DetectTimeout),
 		closed:    make(chan struct{}),
 	}
 	for _, id := range local {
@@ -414,6 +369,10 @@ func (g *Group) CurrentView() (uint64, ids.ReplicaID) {
 	defer g.mu.Unlock()
 	return g.view, g.seqID
 }
+
+// Budget is the virtual delay from a slot's sequencing to its delivery
+// deadline (Config.Budget, defaulted).
+func (g *Group) Budget() time.Duration { return g.cfg.Budget }
 
 // Distributed reports whether the group runs in stamped (real-transport)
 // mode rather than the in-memory simulator.
@@ -1388,18 +1347,16 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 		qlen := len(g.fwdQ)
 		parker := g.tickParker
 		g.fwdMu.Unlock()
-		// Adaptive mode: a queue that crossed the batch threshold drains
-		// now instead of waiting out the tick, and an arrival into an
-		// EMPTY queue while the tick is idle-stretched past the base Tick
-		// drains immediately too — otherwise a lone low-rate request
-		// would sit out a stretched park and adaptive would be slower
-		// than the fixed tick exactly where it should be faster. The CAS
-		// dedupes wakeups (one per tick; runTicks re-arms it), and the
-		// hosting check runs only on a crossing so the per-forward hot
-		// path stays a queue append.
-		kick := qlen >= g.cfg.BatchThreshold ||
+		// A queue that crossed tickBatch drains now instead of waiting
+		// out the tick, and an arrival into an EMPTY queue while the tick
+		// is idle-stretched past the base Tick drains immediately too —
+		// otherwise a lone low-rate request would sit out a stretched
+		// park. The CAS dedupes wakeups (one per tick; runTicks re-arms
+		// it), and the hosting check runs only on a crossing so the
+		// per-forward hot path stays a queue append.
+		kick := qlen >= tickBatch ||
 			(qlen == len(fwds) && time.Duration(g.tickCur.Load()) > g.cfg.Tick)
-		if g.cfg.AdaptiveTick && parker != nil && kick &&
+		if parker != nil && kick &&
 			g.tickKick.CompareAndSwap(false, true) && g.hostsSequencer() {
 			parker.Unpark()
 		}
@@ -1550,19 +1507,15 @@ func (g *Group) ResumeLive(next uint64, tail []Envelope) {
 // accumulated since the previous tick, stamping them with a shared
 // virtual delivery deadline, and multicasts a horizon heartbeat (with
 // the current view) so follower clocks keep flowing through idle
-// periods. With the fixed tick (AdaptiveTick off) tick instants are
-// exact virtual multiples of Config.Tick, so the stamps a given forward
-// sequence receives are reproducible; adaptive mode trades that for a
-// load-responsive drain (see Config.AdaptiveTick) without touching the
-// slot order or stamp monotonicity. After a takeover the stamp floor
-// keeps new deadlines above every horizon the previous sequencer
-// published.
+// periods. The tick length follows tickPolicy, so which forwards share
+// a tick (and a stamp) depends on arrival timing; the slot order and
+// stamp monotonicity do not. After a takeover the stamp floor keeps new
+// deadlines above every horizon the previous sequencer published.
 //
-// Group commit (the default): a tick's sequenced envelopes — which all
-// share one stamp and deliver in slot order — travel as a single
-// multi-envelope frame per member, with the horizon heartbeat riding in
-// the same frame, so one syscall and one frame header carry the whole
-// tick's decisions. Config.NoGroupCommit reverts to per-envelope frames.
+// Group commit: a tick's sequenced envelopes — which all share one stamp
+// and deliver in slot order — travel as a single multi-envelope frame
+// per member, with the horizon heartbeat riding in the same frame, so
+// one syscall and one frame header carry the whole tick's decisions.
 func (g *Group) runTicks() {
 	parker := g.vclk.NewOrderedParker("gcs tick", tickOrder)
 	g.fwdMu.Lock()
@@ -1593,7 +1546,7 @@ func (g *Group) runTicks() {
 		}
 		g.mu.Unlock()
 		if n == nil {
-			tick = g.nextTick(tick, 0)
+			tick = g.ticks.nextTick(tick, 0)
 			continue // not hosting the sequencer (yet)
 		}
 		g.fwdMu.Lock()
@@ -1604,20 +1557,6 @@ func (g *Group) runTicks() {
 		if deadline < floor {
 			deadline = floor
 		}
-		if g.cfg.NoGroupCommit {
-			for _, env := range batch {
-				n.sequence(env, deadline)
-			}
-			for _, id := range g.Recipients() {
-				if g.isLocal(id) || !g.alive(id) {
-					continue
-				}
-				g.transfer(fmt.Sprintf("hz%v>%v", seqID, id), Origin{Replica: id},
-					Envelope{Kind: EnvHorizon, View: view, From: Origin{Replica: seqID}, Stamp: deadline})
-			}
-			tick = g.nextTick(tick, len(batch))
-			continue
-		}
 		seqEnvs := n.sequenceBatch(batch, deadline, view)
 		hz := Envelope{Kind: EnvHorizon, View: view, From: Origin{Replica: seqID}, Stamp: deadline}
 		for _, id := range g.Recipients() {
@@ -1626,8 +1565,7 @@ func (g *Group) runTicks() {
 			}
 			if g.isLocal(id) {
 				// Self-delivery: no horizon needed (the sequenced stamps
-				// raise the local horizon on injection, matching the
-				// per-envelope path).
+				// raise the local horizon on injection).
 				if len(seqEnvs) > 0 {
 					g.transferBatch(fmt.Sprintf("seq%v>%v", seqID, id), Origin{Replica: id},
 						append([]Envelope(nil), seqEnvs...))
@@ -1641,30 +1579,60 @@ func (g *Group) runTicks() {
 			msgs = append(msgs, hz)
 			g.transferBatch(fmt.Sprintf("seq%v>%v", seqID, id), Origin{Replica: id}, msgs)
 		}
-		tick = g.nextTick(tick, len(batch))
+		tick = g.ticks.nextTick(tick, len(batch))
 	}
 }
 
-// nextTick applies the adaptive sizing policy given how many forwards
-// the finished tick drained: a threshold-sized batch means saturation
-// (drain fast), a non-empty drain holds the nominal tick, and idle
-// ticks stretch geometrically toward MaxTick.
-func (g *Group) nextTick(cur time.Duration, drained int) time.Duration {
-	if !g.cfg.AdaptiveTick {
-		return g.cfg.Tick
+// tickBatch is the queued-forward depth that counts as saturation: the
+// sequencer drains at once instead of waiting out the tick, and the next
+// tick shrinks to the floor.
+const tickBatch = 64
+
+// tickPolicy sizes the sequencer's drain interval from load: min while
+// saturated (amortising stamping over large batches), the nominal tick
+// while busy, and a geometric stretch toward max while idle (fewer empty
+// heartbeat multicasts; the first arrival into an empty queue wakes a
+// stretched tick at once, so stretching never taxes latency).
+type tickPolicy struct {
+	tick, min, max time.Duration
+}
+
+// newTickPolicy derives the bounds from the nominal tick and the failure
+// detector's silence window: min is tick/4, floored at 100µs; max is
+// 4·tick, capped at detect/4 so horizon heartbeats keep the detector
+// quiet. Neither bound crosses the nominal tick.
+func newTickPolicy(tick, detect time.Duration) tickPolicy {
+	p := tickPolicy{tick: tick, min: tick / 4, max: 4 * tick}
+	if p.min < 100*time.Microsecond {
+		p.min = 100 * time.Microsecond
 	}
+	if p.min > tick {
+		p.min = tick
+	}
+	if p.max > detect/4 {
+		p.max = detect / 4
+	}
+	if p.max < tick {
+		p.max = tick
+	}
+	return p
+}
+
+// nextTick returns the park after a tick of cur that drained this many
+// forwards.
+func (p tickPolicy) nextTick(cur time.Duration, drained int) time.Duration {
 	switch {
-	case drained >= g.cfg.BatchThreshold:
-		return g.cfg.MinTick
+	case drained >= tickBatch:
+		return p.min
 	case drained > 0:
-		return g.cfg.Tick
+		return p.tick
 	default:
 		next := cur * 2
-		if next > g.cfg.MaxTick {
-			next = g.cfg.MaxTick
+		if next > p.max {
+			next = p.max
 		}
-		if next < g.cfg.Tick {
-			next = g.cfg.Tick
+		if next < p.tick {
+			next = p.tick
 		}
 		return next
 	}

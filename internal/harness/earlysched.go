@@ -62,10 +62,6 @@ func replayFamilies(sim SimOptions, early bool, log []replica.LogEntry) (uint64,
 			PDSRelaxed: sim.PDSRelaxed,
 			EarlySched: early,
 		}, log)
-		for f := 0; f < sim.Families.Families; f++ {
-			rep.Instance().SetField(fmt.Sprintf("state%d", f), int64(0))
-		}
-		rep.Instance().SetField("gstate", int64(0))
 		v.Sleep(5 * time.Second)
 	})
 	<-done

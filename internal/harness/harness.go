@@ -192,14 +192,8 @@ func RunSim(o SimOptions) *SimResult {
 			EarlySched:    o.EarlySched,
 			NestedLatency: o.NestedLatency,
 		}))
-		rep := reps[len(reps)-1]
-		if o.Families != nil {
-			for f := 0; f < o.Families.Families; f++ {
-				rep.Instance().SetField(fmt.Sprintf("state%d", f), int64(0))
-			}
-			rep.Instance().SetField("gstate", int64(0))
-		} else {
-			rep.Instance().SetField("state", int64(0))
+		if o.Families == nil {
+			reps[len(reps)-1].Instance().SetField("state", int64(0))
 		}
 	}
 
@@ -267,14 +261,7 @@ func RunSim(o SimOptions) *SimResult {
 	out.Transfers, out.Broadcasts, out.Directs = g.Stats().Snapshot()
 	survivor := reps[len(reps)-1]
 	if o.Families != nil {
-		for f := 0; f < o.Families.Families; f++ {
-			if st, ok := survivor.Instance().GetField(fmt.Sprintf("state%d", f)).(int64); ok {
-				out.StateTotal += st
-			}
-		}
-		if st, ok := survivor.Instance().GetField("gstate").(int64); ok {
-			out.StateTotal += st
-		}
+		out.StateTotal = workload.FamilyTotal(*o.Families, survivor.Instance())
 	} else if st, ok := survivor.Instance().GetField("state").(int64); ok {
 		out.StateTotal = st
 	}

@@ -92,7 +92,7 @@ func KVFacade(o KVFacadeOptions) Result {
 
 	// -- Direct leg: wire protocol straight to the shards. --
 	direct := func() (float64, error) {
-		addr, closeAll, err := shardedCluster(o.Shards, "-kv", "-adaptive-tick", "-ring-seed", "42")
+		addr, closeAll, err := shardedCluster(o.Shards, "-kv", "-ring-seed", "42")
 		if err != nil {
 			return 0, err
 		}
@@ -122,7 +122,7 @@ func KVFacade(o KVFacadeOptions) Result {
 
 	// -- Gateway leg: the same ladder through a real HTTP hop. --
 	gateway := func() (float64, error) {
-		addr, closeAll, err := shardedCluster(o.Shards, "-kv", "-adaptive-tick", "-ring-seed", "42")
+		addr, closeAll, err := shardedCluster(o.Shards, "-kv", "-ring-seed", "42")
 		if err != nil {
 			return 0, err
 		}

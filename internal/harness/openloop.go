@@ -80,9 +80,8 @@ func serverBinary() (string, error) {
 }
 
 // openLoopCluster spawns a 3-member MAT cluster of detmt-server
-// processes with the given extra flags and returns the address map plus
-// a closer that kills them.
-func openLoopCluster(extra ...string) (map[ids.ReplicaID]string, func(), error) {
+// processes and returns the address map plus a closer that kills them.
+func openLoopCluster() (map[ids.ReplicaID]string, func(), error) {
 	bin, err := serverBinary()
 	if err != nil {
 		return nil, nil, err
@@ -123,7 +122,6 @@ func openLoopCluster(extra ...string) (map[ids.ReplicaID]string, func(), error) 
 			"-iterations", strconv.Itoa(wl.Iterations),
 			"-mutexes", strconv.Itoa(wl.Mutexes),
 		}
-		args = append(args, extra...)
 		cmd := exec.Command(bin, args...)
 		if err := cmd.Start(); err != nil {
 			closeAll()
@@ -153,10 +151,8 @@ func openLoopCluster(extra ...string) (map[ids.ReplicaID]string, func(), error) 
 // OpenLoop is experiment E15: the sequencer throughput ceiling. It
 // first measures the closed-loop baseline (clients wait for replies, so
 // concurrency — not the sequencer — bounds the rate), then walks an
-// offered-rate grid through the four hot-path configurations (fixed vs
-// adaptive tick x group commit on/off) under open-loop, coordinated-
-// omission-corrected load. The sustained-rate search is the companion
-// 'ceiling' experiment.
+// offered-rate grid under open-loop, coordinated-omission-corrected
+// load. The sustained-rate search is the companion 'ceiling' experiment.
 //
 // Not part of All(): it spawns real detmt-server processes and burns
 // wall-clock time pacing them, so it runs only when asked explicitly.
@@ -211,64 +207,55 @@ func OpenLoop(o OpenLoopOptions) Result {
 		metricsOut["closedloop4_rps"] = rps
 	}
 
-	// The matrix: offered vs achieved vs p99 intent latency.
-	configs := []struct {
-		key   string
-		flags []string
-	}{
-		{"fixed+plain", []string{"-no-group-commit"}},
-		{"fixed+group", nil},
-		{"adaptive+plain", []string{"-adaptive-tick", "-no-group-commit"}},
-		{"adaptive+group", []string{"-adaptive-tick"}},
-	}
-	fmt.Fprintf(&b, "%-16s %10s %12s %10s %10s %8s\n", "config", "offered", "achieved", "p50-ms", "p99-ms", "shed")
-	for _, cfg := range configs {
-		for _, rate := range o.Rates {
-			// Fresh cluster per cell: residual backlog from a saturating
-			// rate would otherwise bleed into the next cell's warmup and
-			// delay its convergence check.
-			addrs, closeAll, err := openLoopCluster(cfg.flags...)
-			if err != nil {
-				fmt.Fprintf(&b, "%-16s %10.0f FAILED: %v\n", cfg.key, rate, err)
-				continue
-			}
-			res, err := server.RunLoad(server.LoadOptions{
-				Servers:       addrs,
-				Rate:          rate,
-				Duration:      o.Duration,
-				Warmup:        o.Warmup,
-				BatchSubmit:   true,
-				Seed:          7,
-				Workload:      wl,
-				SettleTimeout: 60 * time.Second,
-			})
-			closeAll()
-			if res == nil {
-				fmt.Fprintf(&b, "%-16s %10.0f FAILED: %v\n", cfg.key, rate, err)
-				continue
-			}
-			q := res.Intent.Quantiles(50, 99)
-			note := ""
-			if err != nil {
-				note = "  (did not settle)"
-			}
-			fmt.Fprintf(&b, "%-16s %10.0f %12.0f %10.2f %10.2f %8d%s\n",
-				cfg.key, rate, res.Achieved,
-				float64(q[0])/float64(time.Millisecond),
-				float64(q[1])/float64(time.Millisecond), res.Shed, note)
-			mkey := strings.NewReplacer("+", "_").Replace(cfg.key)
-			metricsOut[fmt.Sprintf("%s_%.0f_achieved_rps", mkey, rate)] = res.Achieved
-			metricsOut[fmt.Sprintf("%s_%.0f_p99_ms", mkey, rate)] = float64(q[1]) / float64(time.Millisecond)
-			if rate == o.Rates[0] {
-				metricsOut[fmt.Sprintf("%s_lowrate_p50_ms", mkey)] = float64(q[0]) / float64(time.Millisecond)
-			}
+	// The grid: offered vs achieved vs p99 intent latency. Metric keys
+	// keep the adaptive_group_ prefix of the earlier four-configuration
+	// matrix, whose surviving cell this is, so benchdiff lines them up
+	// with BENCH_PR7.json.
+	fmt.Fprintf(&b, "%10s %12s %10s %10s %8s\n", "offered", "achieved", "p50-ms", "p99-ms", "shed")
+	for _, rate := range o.Rates {
+		// Fresh cluster per rate: residual backlog from a saturating
+		// rate would otherwise bleed into the next rate's warmup and
+		// delay its convergence check.
+		addrs, closeAll, err := openLoopCluster()
+		if err != nil {
+			fmt.Fprintf(&b, "%10.0f FAILED: %v\n", rate, err)
+			continue
+		}
+		res, err := server.RunLoad(server.LoadOptions{
+			Servers:       addrs,
+			Rate:          rate,
+			Duration:      o.Duration,
+			Warmup:        o.Warmup,
+			BatchSubmit:   true,
+			Seed:          7,
+			Workload:      wl,
+			SettleTimeout: 60 * time.Second,
+		})
+		closeAll()
+		if res == nil {
+			fmt.Fprintf(&b, "%10.0f FAILED: %v\n", rate, err)
+			continue
+		}
+		q := res.Intent.Quantiles(50, 99)
+		note := ""
+		if err != nil {
+			note = "  (did not settle)"
+		}
+		fmt.Fprintf(&b, "%10.0f %12.0f %10.2f %10.2f %8d%s\n",
+			rate, res.Achieved,
+			float64(q[0])/float64(time.Millisecond),
+			float64(q[1])/float64(time.Millisecond), res.Shed, note)
+		metricsOut[fmt.Sprintf("adaptive_group_%.0f_achieved_rps", rate)] = res.Achieved
+		metricsOut[fmt.Sprintf("adaptive_group_%.0f_p99_ms", rate)] = float64(q[1]) / float64(time.Millisecond)
+		if rate == o.Rates[0] {
+			metricsOut["adaptive_group_lowrate_p50_ms"] = float64(q[0]) / float64(time.Millisecond)
 		}
 	}
 
-	b.WriteString("\nThe closed-loop baseline is concurrency-bound: each client waits a\nfull round-trip per request. Open-loop arrivals pipeline through the\nsequencing window, so the ceiling is set by sequencer drain + wire\ncost — which group commit and adaptive ticks push up (see the\n'ceiling' experiment for the sustained-rate search).\n")
+	b.WriteString("\nThe closed-loop baseline is concurrency-bound: each client waits a\nfull round-trip per request. Open-loop arrivals pipeline through the\nsequencing window, so the ceiling is set by sequencer drain + wire\ncost (see the 'ceiling' experiment for the sustained-rate search).\n")
 	return Result{
 		ID:      "openloop",
-		Title:   "E15: open-loop sequencer throughput ceiling (fixed/adaptive tick x group commit, real detmt-server processes)",
+		Title:   "E15: open-loop sequencer throughput ceiling (real detmt-server processes)",
 		Text:    b.String(),
 		Metrics: metricsOut,
 	}
@@ -285,8 +272,8 @@ func Ceiling(o OpenLoopOptions) Result {
 	}
 	var b strings.Builder
 	metricsOut := map[string]float64{}
-	b.WriteString("Ceiling search (adaptive tick + group commit + pipelined apply, SLO p99 <= 100ms):\n")
-	addrs, closeAll, err := openLoopCluster("-adaptive-tick")
+	b.WriteString("Ceiling search (SLO p99 <= 100ms):\n")
+	addrs, closeAll, err := openLoopCluster()
 	if err != nil {
 		fmt.Fprintf(&b, "FAILED: %v\n", err)
 	} else {

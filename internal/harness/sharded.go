@@ -152,10 +152,10 @@ func Sharded(o ShardedOptions) Result {
 	}
 	var b strings.Builder
 	metricsOut := map[string]float64{}
-	b.WriteString("Aggregate ceiling vs shard count (one process, one replica per\nshard, adaptive tick + group commit, SLO p99 <= 100ms):\n\n")
+	b.WriteString("Aggregate ceiling vs shard count (one process, one replica per\nshard, SLO p99 <= 100ms):\n\n")
 	var last float64
 	for _, n := range o.Shards {
-		addr, closeAll, err := shardedCluster(n, "-adaptive-tick", "-ring-seed", "42")
+		addr, closeAll, err := shardedCluster(n, "-ring-seed", "42")
 		if err != nil {
 			fmt.Fprintf(&b, "%d shards FAILED: %v\n", n, err)
 			continue

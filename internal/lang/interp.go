@@ -100,6 +100,11 @@ func (in *Instance) MonitorCount() int {
 	return n
 }
 
+// MapGet reads one entry of the builtin key/value map (mapget).
+func (in *Instance) MapGet(ns, key int64) Value {
+	return in.GetField(mapFieldKey(ns, key))
+}
+
 // GetField reads a plain field (for assertions in tests and examples).
 func (in *Instance) GetField(name string) Value {
 	in.mu.Lock()

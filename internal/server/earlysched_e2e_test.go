@@ -72,8 +72,8 @@ func startEarlyCluster(t *testing.T, n int, kind replica.SchedulerKind, fam work
 // class-parallel cluster and asserts the admission invariants on top of
 // the usual ones: every replica reports class metrics, every commit is
 // accounted to exactly one lane discipline, and the summed family state
-// equals requests × iterations (each request increments its family's
-// field — or gstate — once per iteration).
+// equals requests × iterations (each request increments one per-cell
+// counter once per iteration).
 func runEarlyCluster(t *testing.T, kind replica.SchedulerKind, conflict float64, o LoadOptions) *LoadResult {
 	t.Helper()
 	fam := testFamilies(conflict)

@@ -186,24 +186,15 @@ func (gw *ShardGateway) handle(key string, arg lang.Value) (lang.Value, error) {
 	rng := ids.NewRNG(seed.Sum64())
 	args := workload.Fig1Args(gw.o.Workload, rng)
 
-	deadline := time.Now().Add(gw.o.RetryDeadline)
-	backoff := 25 * time.Millisecond
-	for {
-		v, _, err := gw.cl.Invoke(workload.MethodName, args...)
-		if err == nil {
-			if v == nil {
-				v = arg // the fig1 method returns nothing; echo, like the stub backend
-			}
-			return v, nil
-		}
-		if !isNoSequencer(err) || time.Now().After(deadline) {
-			return nil, fmt.Errorf("gateway %s: %v", gw.o.Group, err)
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
-		}
+	v, _, _, err := invokeWithRetry(nil, time.Now().Add(gw.o.RetryDeadline),
+		func() (lang.Value, time.Duration, error) { return gw.cl.Invoke(workload.MethodName, args...) })
+	if err != nil {
+		return nil, fmt.Errorf("gateway %s: %v", gw.o.Group, err)
 	}
+	if v == nil {
+		v = arg // the fig1 method returns nothing; echo, like the stub backend
+	}
+	return v, nil
 }
 
 func isNoSequencer(err error) bool {

@@ -94,6 +94,10 @@ func (s *Server) tryRecover(donor ids.ReplicaID) bool {
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
+	// The donor has seen this process reconnect (and the sequencer has
+	// added it back to its fan-out) by the time it answers the status
+	// request below; see the empty-buffer rule in the tail loop.
+	started := time.Now()
 	// Learn the donor's sequencing view first: a rejoining process — in
 	// particular the cluster's original sequencer — must know who
 	// sequences the current view before any traffic is replayed, or its
@@ -227,10 +231,19 @@ func (s *Server) tryRecover(donor ids.ReplicaID) bool {
 			if !s.o.Learner || promoted {
 				// A rejoining voter receives fan-out from the moment its
 				// transport reconnects, so an empty buffer means nothing was
-				// sequenced since — the tail is complete. The same holds for
-				// a learner once its Add has ACTIVATED at the donor: the
-				// voters opened links at stage time, so anything sequenced
-				// after this iteration's fetch would have been buffered.
+				// sequenced since. Slots sequenced just BEFORE that were
+				// fanned out without us, and the donor serves them in its
+				// tail only once it delivered them, up to a Budget later:
+				// trust an empty tail only from a fetch issued after that
+				// window. The same holds for a learner once its Add has
+				// ACTIVATED at the donor: the voters opened links at stage
+				// time, so anything sequenced after this iteration's fetch
+				// would have been buffered.
+				settle := max(4*s.group.Budget(), 50*time.Millisecond)
+				if wait := settle - time.Since(started); wait > 0 {
+					time.Sleep(wait)
+					continue
+				}
 				break
 			}
 			// A LEARNER receives no fan-out until its AddReplica is staged

@@ -104,22 +104,6 @@ type Options struct {
 	Tick   time.Duration
 	Budget time.Duration
 
-	// AdaptiveTick enables the load-responsive sequencing drain (see
-	// gcs.Config.AdaptiveTick): immediate drain past BatchThreshold
-	// queued forwards, MinTick while saturated, stretch toward MaxTick
-	// when idle. Zero-valued MinTick/MaxTick/BatchThreshold take the gcs
-	// defaults.
-	AdaptiveTick   bool
-	MinTick        time.Duration
-	MaxTick        time.Duration
-	BatchThreshold int
-	// NoGroupCommit reverts the sequencer's tick fan-out to one frame
-	// per envelope (see gcs.Config.NoGroupCommit; measurement only).
-	NoGroupCommit bool
-	// PipelineDepth bounds the transport's per-sender decode pipeline
-	// (see wire.Options.PipelineDepth; negative disables pipelining).
-	PipelineDepth int
-
 	PDSWindow       int
 	PDSRelaxed      bool
 	CheckpointEvery int
@@ -443,7 +427,6 @@ func New(o Options) (*Server, error) {
 			}
 		},
 		OriginIdleExpiry: expiry,
-		PipelineDepth:    o.PipelineDepth,
 		Dial:             o.Dial,
 		Logf:             o.Logf,
 	})
@@ -460,23 +443,18 @@ func New(o Options) (*Server, error) {
 		learners = []ids.ReplicaID{o.ID}
 	}
 	gcfg := gcs.Config{
-		Clock:          s.clock,
-		Group:          o.Group,
-		Members:        members,
-		Transport:      tr,
-		Local:          []ids.ReplicaID{o.ID},
-		Tick:           o.Tick,
-		Budget:         o.Budget,
-		AdaptiveTick:   o.AdaptiveTick,
-		MinTick:        o.MinTick,
-		MaxTick:        o.MaxTick,
-		BatchThreshold: o.BatchThreshold,
-		NoGroupCommit:  o.NoGroupCommit,
-		Recovering:     o.Recover,
-		SeqRetention:   o.SeqRetention,
-		DetectTimeout:  o.DetectTimeout,
-		Learners:       learners,
-		Logf:           o.Logf,
+		Clock:         s.clock,
+		Group:         o.Group,
+		Members:       members,
+		Transport:     tr,
+		Local:         []ids.ReplicaID{o.ID},
+		Tick:          o.Tick,
+		Budget:        o.Budget,
+		Recovering:    o.Recover,
+		SeqRetention:  o.SeqRetention,
+		DetectTimeout: o.DetectTimeout,
+		Learners:      learners,
+		Logf:          o.Logf,
 		FetchGap: func(donor ids.ReplicaID, from uint64, max int) []gcs.Envelope {
 			envs, _, _, err := tr.FetchTail(donor, from, max, fetchTimeout)
 			if err != nil {
@@ -541,10 +519,8 @@ func New(o Options) (*Server, error) {
 	})
 	switch {
 	case o.Families != nil:
-		for f := 0; f < o.Families.Families; f++ {
-			s.rep.Instance().SetField(fmt.Sprintf("state%d", f), int64(0))
-		}
-		s.rep.Instance().SetField("gstate", int64(0))
+		// FamiliesSource keeps only map counters, which materialise on
+		// first write.
 	case o.KV != nil:
 		// KVSource declares only `state`; NewInstance zeroed it already
 		// and map entries materialise on first write.
@@ -641,14 +617,7 @@ func (s *Server) Status() Status {
 		st.CheckpointAgeMs = -1
 	}
 	if s.o.Families != nil {
-		for f := 0; f < s.o.Families.Families; f++ {
-			if v, ok := s.rep.Instance().GetField(fmt.Sprintf("state%d", f)).(int64); ok {
-				st.State += v
-			}
-		}
-		if v, ok := s.rep.Instance().GetField("gstate").(int64); ok {
-			st.State += v
-		}
+		st.State = workload.FamilyTotal(*s.o.Families, s.rep.Instance())
 	} else if v, ok := s.rep.Instance().GetField("state").(int64); ok {
 		st.State = v
 	}

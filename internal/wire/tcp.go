@@ -85,16 +85,6 @@ type Options struct {
 	// (e.g. a chaos-killed load generator) would otherwise leak their
 	// rings until an epoch bump, which may never come.
 	OriginIdleExpiry time.Duration
-	// PipelineDepth bounds the per-sender decode pipeline: received
-	// envelope/batch frames are handed to a single per-sender worker
-	// that dedups, decodes and delivers them in arrival order, so the
-	// socket reader is already pulling the next frame off the wire while
-	// the previous one is being applied. Acks are still sent only after
-	// delivery, preserving the acked-implies-delivered replay invariant
-	// across reconnects. 0 applies DefaultPipelineDepth; negative
-	// disables pipelining (frames decode inline on the reader goroutine,
-	// the pre-pipelining behavior, kept for before/after measurement).
-	PipelineDepth int
 	// MaxUnacked bounds the per-peer retransmission queue: frames not yet
 	// acknowledged by a down peer accumulate until this many are queued,
 	// then the oldest are dropped (counted, logged once per outage). A
@@ -180,12 +170,11 @@ const DefaultMaxUnacked = 32768
 // that a long-lived server's memory stays flat.
 const clientReplayBuf = 256
 
-// DefaultPipelineDepth is the per-sender decode-pipeline bound applied
-// when Options leaves PipelineDepth at zero: deep enough that a tick's
-// worth of group-committed frames never stalls the socket reader,
-// bounded so a slow replica exerts backpressure instead of buffering
-// without limit.
-const DefaultPipelineDepth = 512
+// pipeDepth bounds each sender's decode pipeline (see decodePipe): deep
+// enough that a tick's worth of group-committed frames never stalls the
+// socket reader, bounded so a slow replica exerts backpressure instead
+// of buffering without limit.
+const pipeDepth = 512
 
 // NewTCP creates the endpoint, starts its listener (if any) and begins
 // dialing every configured peer.
@@ -206,9 +195,6 @@ func NewTCP(o Options) (*TCP, error) {
 	}
 	if o.MaxUnacked == 0 {
 		o.MaxUnacked = DefaultMaxUnacked
-	}
-	if o.PipelineDepth == 0 {
-		o.PipelineDepth = DefaultPipelineDepth
 	}
 	t := &TCP{
 		o:        o,
@@ -784,9 +770,6 @@ type decodePipe struct {
 	closed  bool
 }
 
-// pipelined reports whether the decode pipeline is enabled.
-func (t *TCP) pipelined() bool { return t.o.PipelineDepth > 0 }
-
 // pipe returns (creating on first use) the sender's decode pipeline.
 func (t *TCP) pipe(name string) *decodePipe {
 	t.mu.Lock()
@@ -804,10 +787,10 @@ func (t *TCP) pipe(name string) *decodePipe {
 }
 
 // push queues a frame for the pipeline worker, blocking (backpressure
-// on the socket reader) while the pipe is at PipelineDepth.
+// on the socket reader) while the pipe is at pipeDepth.
 func (p *decodePipe) push(pf pipedFrame) {
 	p.mu.Lock()
-	for len(p.queue) >= p.t.o.PipelineDepth && !p.closed {
+	for len(p.queue) >= pipeDepth && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
@@ -1187,11 +1170,7 @@ func (pl *peerLink) serveConn(conn net.Conn) bool {
 				t.dispatchFetch(f)
 			case frameEnvelope, frameBatch:
 				name := pl.id.String()
-				if t.pipelined() {
-					t.pipe(name).push(pipedFrame{f: f, name: name})
-				} else {
-					t.deliverFrame(name, 0, f)
-				}
+				t.pipe(name).push(pipedFrame{f: f, name: name})
 			}
 		}
 	}()
@@ -1443,20 +1422,9 @@ func (ic *inboundConn) readLoop() {
 			ic.mu.Lock()
 			name, epoch := ic.name, ic.epoch
 			ic.mu.Unlock()
-			if t.pipelined() {
-				// Hand off to the per-sender decode worker and go read the
-				// next frame; the worker acks after delivery.
-				t.pipe(name).push(pipedFrame{f: f, name: name, epoch: epoch, ic: ic})
-				continue
-			}
-			if !t.deliverFrame(name, epoch, f) {
-				return // stale incarnation: drop the connection
-			}
-			if f.seq != 0 {
-				eb := pooledBody()
-				body := appendU64(eb.b, f.seq)
-				ic.enqueue(frame{kind: frameAck, body: body, buf: eb})
-			}
+			// Hand off to the per-sender decode worker and go read the
+			// next frame; the worker acks after delivery.
+			t.pipe(name).push(pipedFrame{f: f, name: name, epoch: epoch, ic: ic})
 		case frameControl:
 			t.handleControl(ic, f)
 		case frameCkptReq:

@@ -11,8 +11,8 @@ import (
 
 // FamilyConfig parameterises the low-conflict variant of the Fig. 1
 // benchmark: the mutex set is split into disjoint *families*, each with
-// its own start method and its own state field, so static lock prediction
-// can prove requests of different families independent (package
+// its own start method, so static lock prediction can prove requests of
+// different families independent (package
 // earlysched assigns them distinct conflict classes). Two dials shape the
 // contention:
 //
@@ -82,39 +82,50 @@ func FamiliesSource(cfg FamilyConfig) string {
 
 	var b strings.Builder
 	b.WriteString("object Families {\n")
-	fmt.Fprintf(&b, "    monitor cells[%d];\n", total)
-	for f := 0; f < cfg.Families; f++ {
-		fmt.Fprintf(&b, "    field state%d;\n", f)
-	}
-	b.WriteString("    field gstate;\n\n")
+	fmt.Fprintf(&b, "    monitor cells[%d];\n\n", total)
 
-	iteration := func(d string, mod int, baseOff int, stateField string) {
+	// Every critical section counts into a per-cell counter (map
+	// namespace ns, key = the cell index), so each counter is guarded by
+	// the one monitor its cell names. One shared field per family would
+	// be written under any of the family's cells: two requests of a
+	// family in critical sections at once (a PDS round grants them
+	// together) would race its read-modify-write and lose an update.
+	count := func(ns int, cell string) {
+		fmt.Fprintf(&b, "            c = mapget(%d, %s);\n", ns, cell)
+		b.WriteString("            if (c == null) {\n")
+		b.WriteString("                c = 0;\n")
+		b.WriteString("            }\n")
+		fmt.Fprintf(&b, "            mapput(%d, %s, c + 1);\n", ns, cell)
+	}
+	iteration := func(d string, mod int, baseOff int, ns int) {
 		fmt.Fprintf(&b, "        if (%s / %d %% 2 == 1) {\n", d, mod)
 		fmt.Fprintf(&b, "            nested(%s);\n", d)
 		b.WriteString("        }\n")
 		fmt.Fprintf(&b, "        if (%s / %d %% 2 == 1) {\n", d, 2*mod)
 		fmt.Fprintf(&b, "            compute(%dus);\n", us)
 		b.WriteString("        }\n")
+		cell := fmt.Sprintf("((%s %% %d) + %d) %% %d", d, mod, mod, mod)
 		if baseOff > 0 {
-			fmt.Fprintf(&b, "        sync (cells[((%s %% %d) + %d) %% %d + %d]) {\n", d, mod, mod, mod, baseOff)
-		} else {
-			fmt.Fprintf(&b, "        sync (cells[((%s %% %d) + %d) %% %d]) {\n", d, mod, mod, mod)
+			cell = fmt.Sprintf("%s + %d", cell, baseOff)
 		}
-		fmt.Fprintf(&b, "            %s = %s + 1;\n", stateField, stateField)
+		fmt.Fprintf(&b, "        sync (cells[%s]) {\n", cell)
+		count(ns, cell)
 		b.WriteString("        }\n")
 	}
 
 	for f := 0; f < cfg.Families; f++ {
 		fmt.Fprintf(&b, "    method %s(%s) {\n", FamilyMethod(f), plist)
+		b.WriteString("        var c = 0;\n")
 		for i := 0; i < cfg.Iterations; i++ {
-			iteration(params[i], p, f*p, fmt.Sprintf("state%d", f))
+			iteration(params[i], p, f*p, f)
 		}
 		b.WriteString("    }\n\n")
 	}
 
 	// The cross-family method: the same per-iteration structure, but the
-	// lock index spans the whole array and the state field is shared.
+	// lock index spans the whole array; it counts in namespace Families.
 	fmt.Fprintf(&b, "    method %s(%s) {\n", GlobalMethod, plist)
+	b.WriteString("        var c = 0;\n")
 	for i := 0; i < cfg.Iterations; i++ {
 		d := params[i]
 		fmt.Fprintf(&b, "        if (%s / %d %% 2 == 1) {\n", d, total)
@@ -123,22 +134,28 @@ func FamiliesSource(cfg FamilyConfig) string {
 		fmt.Fprintf(&b, "        if (%s / %d %% 2 == 1) {\n", d, 2*total)
 		fmt.Fprintf(&b, "            compute(%dus);\n", us)
 		b.WriteString("        }\n")
-		fmt.Fprintf(&b, "        sync (cells[%s %% %d]) {\n", d, total)
-		b.WriteString("            gstate = gstate + 1;\n")
+		cell := fmt.Sprintf("%s %% %d", d, total)
+		fmt.Fprintf(&b, "        sync (cells[%s]) {\n", cell)
+		count(cfg.Families, cell)
 		b.WriteString("        }\n")
 	}
-	b.WriteString("    }\n\n")
-
-	// Reference reader (family 0's slice, like fig1's readState).
-	b.WriteString("    method readTotal() {\n")
-	b.WriteString("        var v = 0;\n")
-	b.WriteString("        sync (cells[0]) {\n")
-	b.WriteString("            v = gstate;\n")
-	b.WriteString("        }\n")
-	b.WriteString("        return v;\n")
 	b.WriteString("    }\n")
 	b.WriteString("}\n")
 	return b.String()
+}
+
+// FamilyTotal sums the per-cell counters of an instance running
+// FamiliesSource(cfg): the number of critical sections executed.
+func FamilyTotal(cfg FamilyConfig, in *lang.Instance) int64 {
+	var sum int64
+	for ns := 0; ns <= cfg.Families; ns++ {
+		for cell := 0; cell < cfg.Mutexes(); cell++ {
+			if v, ok := in.MapGet(int64(ns), int64(cell)).(int64); ok {
+				sum += v
+			}
+		}
+	}
+	return sum
 }
 
 // FamilyArgs draws one request: the method (global with probability

@@ -49,6 +49,10 @@ fi
 # harness TestEarlySchedChaosSoak and the real-socket
 # TestClusterEarlySchedChaos in internal/server.
 go test -race -shuffle=on $short ./...
+# Schedule determinism, repeated: a scheduler decision that follows
+# same-instant goroutine timing diverges only in some runs, so one run
+# does not catch it (about 3 s).
+go test -count=50 -run 'TestSchedulersAreDeterministic' ./internal/core
 if [ -z "$short" ]; then
 	# Sharded binary smoke: the Go tests exercise the library; this drives
 	# the shipped binaries end to end the way the README walkthrough does —
